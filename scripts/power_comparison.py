@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end power comparison on synthetic fixed-population data.
 
-Simulates a user pool with random daily engagement, injects a relative
-lift through random 50/50 assignment, and sweeps sample fractions under
-both inclusion policies on shared subsamples. Writes the curve data as
-CSV (one row per policy and fraction) for external plotting.
+Simulates a user pool with random daily engagement as one trace table,
+drops its variants, injects a relative lift through random 50/50
+assignment, and sweeps sample fractions under both inclusion policies on
+shared subsamples. Writes the curve data as CSV (one row per policy and
+fraction) for external plotting.
 
 Usage:
   python3 scripts/power_comparison.py --lift 0.01 --sigma 65 --n-per-arm 50000
@@ -13,6 +14,7 @@ Usage:
 import argparse
 import csv
 from pathlib import Path
+from typing import Sequence
 
 from openbounded import (
     EffectKind,
@@ -27,7 +29,7 @@ from openbounded import (
 )
 
 
-def main() -> None:
+def main(argv: Sequence[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-per-arm", type=int, default=50_000)
     parser.add_argument("--p", type=float, default=0.2, help="daily activity probability")
@@ -38,13 +40,14 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=705)
     parser.add_argument("--out", type=Path, default=Path("results/power_comparison.csv"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     calendar = ExperimentCalendar(14)
     params = Model1Params(p=args.p, sigma=args.sigma, c=args.c)
     pool = strip_variants(simulate_model1(params, args.n_per_arm, Seed(args.seed)))
     spec = EffectSpec(EffectKind.RELATIVE_LIFT, args.lift, args.weekend_lift)
     traces = inject_effect(pool, spec, calendar, Seed(args.seed + 1))
+    print(f"{len(traces)} users, {int(traces.present.sum())} active user-days")
 
     fractions = [round(0.1 * i, 1) for i in range(1, 11)]
     curves = compare_policies(

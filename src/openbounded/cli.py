@@ -119,10 +119,41 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return out
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _config_scalar(action: argparse.Action, key: str, value: object) -> object:
+    accepted = str if action.type is None else (str, int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"config option {key!r} has the wrong type: {value!r}")
+    try:
+        converted = action.type(str(value)) if action.type is not None else value
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config option {key!r} cannot take {value!r}") from exc
+    if action.choices is not None and converted not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ConfigurationError(f"config option {key!r} must be one of {choices}, got {value!r}")
+    return converted
+
+
+def _config_value(action: argparse.Action, key: str, value: object) -> object:
+    """Convert one --config value as the parser converts the flag's text."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"config option {key!r} must be true or false")
+        return value
+    if value is None and action.default is None and not action.required:
+        return None
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"config option {key!r} must be a list")
+        return [_config_scalar(action, key, item) for item in value]
+    return _config_scalar(action, key, value)
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Values from --config override parsed flags (documented precedence)."""
     if not getattr(args, "config", None):
         return
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {action.dest: action for action in subparsers.choices[args.command]._actions}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
@@ -132,12 +163,11 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    known = set(vars(args))
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("func", "config"):
+        if dest not in actions or dest not in vars(args) or dest == "config":
             raise ConfigurationError(f"config file sets unknown option {key!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(actions[dest], key, value))
 
 
 def _sanitize(obj):
@@ -168,7 +198,7 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+        writer.writerow(["" if v is None else v for v in _sanitize(row)])
     return buf.getvalue()
 
 
@@ -306,7 +336,7 @@ def cmd_power(args: argparse.Namespace) -> int:
                                  "their effect in --tau/--tau-prime")
     if args.input:
         traces, _ = _load_traces(args, calendar, require_variant=False)
-        has_variants = any(t.variant is not None for t in traces)
+        has_variants = bool((traces.variants >= 0).any())
         wants_injection = args.inject_lift is not None
         if has_variants and wants_injection:
             raise ConfigurationError("input already carries variants; drop the --inject flags")
@@ -331,23 +361,22 @@ def cmd_power(args: argparse.Namespace) -> int:
         traces, calendar, fractions,
         repetitions=args.reps, alpha=args.alpha, seed=seed, test=test, policies=policies,
     )
-    rows = []
-    for curve in curves:
-        for pt in curve.points:
-            rows.append(
-                [
-                    curve.policy.label, pt.fraction, pt.power,
-                    pt.est_p05, pt.est_p50, pt.est_p95,
-                    pt.n_effective_treatment, pt.n_effective_control,
-                    pt.degenerate_repetitions,
-                ]
-            )
     header = [
         "policy", "fraction", "power", "est_p05", "est_p50", "est_p95",
         "n_effective_treatment", "n_effective_control", "degenerate_repetitions",
     ]
+    curve_rows = [
+        [
+            [
+                curve.policy.label, pt.fraction, pt.power, pt.est_p05, pt.est_p50, pt.est_p95,
+                pt.n_effective_treatment, pt.n_effective_control, pt.degenerate_repetitions,
+            ]
+            for pt in curve.points
+        ]
+        for curve in curves
+    ]
     if args.format == "csv":
-        text = _csv_document(header, [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows])
+        text = _csv_document(header, [row for rows in curve_rows for row in rows])
     else:
         text = _json_document(
             {
@@ -360,21 +389,9 @@ def cmd_power(args: argparse.Namespace) -> int:
                         "d": curve.policy.d,
                         "alpha": curve.alpha,
                         "repetitions": curve.repetitions,
-                        "points": [
-                            {
-                                "fraction": pt.fraction,
-                                "power": pt.power,
-                                "est_p05": pt.est_p05,
-                                "est_p50": pt.est_p50,
-                                "est_p95": pt.est_p95,
-                                "n_effective_treatment": pt.n_effective_treatment,
-                                "n_effective_control": pt.n_effective_control,
-                                "degenerate_repetitions": pt.degenerate_repetitions,
-                            }
-                            for pt in curve.points
-                        ],
+                        "points": [dict(zip(header[1:], row[1:])) for row in rows],
                     }
-                    for curve in curves
+                    for curve, rows in zip(curves, curve_rows)
                 ],
             }
         )
@@ -552,7 +569,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Experiment calendar, user traces, and the open/bounded inclusion rules.
+"""Experiment calendar, inclusion policies, and the columnar trace table.
 
 Day indices are 1-based integers in ``1..k``. All types are immutable after
 construction and all operations are pure functions, so everything here is
@@ -8,8 +8,9 @@ safe to share across threads.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 DayIndex = int
 
@@ -74,17 +75,16 @@ class ExperimentCalendar:
     def weekend_days(self) -> tuple[DayIndex, ...]:
         return tuple(t for t in self.days() if self.is_weekend(t))
 
+    def weekend_mask(self) -> np.ndarray:
+        """Bool array over days ``1..k``: True on Saturdays and Sundays."""
+        return np.array([self.is_weekend(t) for t in self.days()], dtype=bool)
+
     def days(self) -> range:
         return range(1, self.k + 1)
 
     def require_day(self, t: DayIndex) -> None:
         if not 1 <= t <= self.k:
             raise ConfigurationError(f"day {t} outside experiment window 1..{self.k}")
-
-
-def is_weekend(t: DayIndex, calendar: ExperimentCalendar) -> bool:
-    """True iff day ``t`` falls on Saturday or Sunday."""
-    return calendar.is_weekend(t)
 
 
 class PolicyKind(enum.Enum):
@@ -137,88 +137,63 @@ def bounded(d: int) -> InclusionPolicy:
     return InclusionPolicy(PolicyKind.BOUNDED, d)
 
 
-@dataclass(frozen=True)
-class InclusionInterval:
-    """Closed interval of days ``[start, end]`` analyzed for one user."""
+@dataclass(frozen=True, eq=False)
+class TraceTable:
+    """Every user's activity, one row per user and one column per day.
 
-    start: DayIndex
-    end: DayIndex
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ConfigurationError(f"empty interval [{self.start}, {self.end}]")
-
-    def contains(self, t: DayIndex) -> bool:
-        return self.start <= t <= self.end
-
-    def days(self) -> range:
-        return range(self.start, self.end + 1)
-
-
-@dataclass(frozen=True)
-class UserTrace:
-    """One user's activity: sorted active days and the outcome on each.
-
-    ``days`` holds the active day indices in strictly increasing order and
-    ``values`` the outcome observed on each; a day is absent exactly when the
-    user was not active on it.
+    ``variants`` codes treatment as 1, control as 0 and unassigned as -1.
+    ``present[i, t - 1]`` is True when user ``i`` was active on day ``t``,
+    and ``values[i, t - 1]`` holds the outcome that day; ``values`` must be
+    0.0 wherever ``present`` is False. The arrays are read-only views.
     """
 
-    user_id: str
-    variant: Variant | None
-    days: tuple[DayIndex, ...]
-    values: tuple[float, ...]
+    user_ids: tuple[str, ...]
+    variants: np.ndarray
+    present: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.days) != len(self.values):
+        n = len(self.user_ids)
+        variants = np.asarray(self.variants, dtype=np.int8)
+        present = np.asarray(self.present, dtype=bool)
+        values = np.asarray(self.values, dtype=float)
+        if present.ndim != 2 or present.shape[0] != n or present.shape[1] < 1:
             raise ConfigurationError(
-                f"user {self.user_id}: {len(self.days)} active days but {len(self.values)} values"
+                f"presence mask of shape {present.shape} does not cover {n} users over >= 1 day"
             )
-        if self.days and self.days[0] < 1:
-            raise ConfigurationError(f"user {self.user_id}: day indices start at 1")
-        if any(a >= b for a, b in zip(self.days, self.days[1:])):
-            raise ConfigurationError(f"user {self.user_id}: active days must strictly increase")
+        if values.shape != present.shape:
+            raise ConfigurationError(
+                f"value matrix of shape {values.shape} does not match presence {present.shape}"
+            )
+        if np.any(values, where=~present):
+            raise ConfigurationError("values must be 0.0 on days without activity")
+        if variants.shape != (n,) or not np.isin(variants, (-1, 0, 1)).all():
+            raise ConfigurationError("variant codes must be one of 1, 0, -1 per user")
+        object.__setattr__(self, "user_ids", tuple(self.user_ids))
+        for name, array in (("variants", variants), ("present", present), ("values", values)):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceTable):
+            return NotImplemented
+        return (
+            self.user_ids == other.user_ids
+            and np.array_equal(self.variants, other.variants)
+            and np.array_equal(self.present, other.present)
+            and np.array_equal(self.values, other.values)
+        )
 
     @property
-    def first_active_day(self) -> DayIndex | None:
-        return self.days[0] if self.days else None
+    def k(self) -> int:
+        return self.present.shape[1]
 
-    @property
-    def active_count(self) -> int:
-        return len(self.days)
-
-    def presence(self, t: DayIndex) -> bool:
-        i = bisect_left(self.days, t)
-        return i < len(self.days) and self.days[i] == t
-
-    def outcome(self, t: DayIndex) -> float:
-        i = bisect_left(self.days, t)
-        if i < len(self.days) and self.days[i] == t:
-            return self.values[i]
-        raise KeyError(f"user {self.user_id} has no outcome on day {t}")
-
-    def slice_indices(self, interval: InclusionInterval) -> tuple[int, int]:
-        """Index range into ``days``/``values`` covered by ``interval``."""
-        return bisect_left(self.days, interval.start), bisect_right(self.days, interval.end)
-
-
-def first_active_day(trace: UserTrace) -> DayIndex | None:
-    """First day with activity, or None for a user who never appeared."""
-    return trace.first_active_day
-
-
-def inclusion_interval(
-    policy: InclusionPolicy, t0: DayIndex, calendar: ExperimentCalendar
-) -> InclusionInterval | None:
-    """Days analyzed for a user first active on ``t0``, or None if excluded.
-
-    Open admits everyone and spans ``[t0, k]``. Bounded admits only
-    ``t0 <= k - d`` and spans exactly d days, ``[t0, t0 + d - 1]``.
-    """
-    calendar.require_day(t0)
-    deadline = policy.admission_deadline(calendar)
-    if t0 > deadline:
-        return None
-    if policy.kind is PolicyKind.BOUNDED:
-        return InclusionInterval(t0, t0 + policy.d - 1)
-    return InclusionInterval(t0, calendar.k)
+    def require_calendar(self, calendar: ExperimentCalendar) -> None:
+        if self.k != calendar.k:
+            raise ConfigurationError(
+                f"traces span {self.k} days but the experiment window has {calendar.k}"
+            )

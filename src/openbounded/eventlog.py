@@ -3,8 +3,9 @@
 One record per active user-day: ``{"user_id", "day", "variant", "value"}``
 with variant ``"T"``/``"C"`` or null. Multiple raw rows for the same
 (user, day) are summed into one daily value before analysis. Writers are
-byte-deterministic for a fixed trace collection; a JSON metadata sidecar
-(``<name>.meta.json``) records how a log was produced.
+byte-deterministic for a fixed trace table; a JSON metadata sidecar
+(``<name>.meta.json``) records how a log was produced. Logs convert to and
+from a ``TraceTable`` here and nowhere else.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .core import DataFormatError, ExperimentCalendar, UserTrace, Variant
+import numpy as np
+
+from .core import DataFormatError, ExperimentCalendar, TraceTable, Variant
 
 SCHEMA_VERSION = 1
 
 _CSV_COLUMNS = ("user_id", "day", "variant", "value")
+_CODE = {Variant.TREATMENT: 1, Variant.CONTROL: 0, None: -1}
+_VARIANT = {code: variant for variant, code in _CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,6 @@ class IngestReport:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
 
-def iter_records(traces: Iterable[UserTrace]) -> Iterator[EventLogRecord]:
-    for trace in traces:
-        for day, value in zip(trace.days, trace.values):
-            yield EventLogRecord(trace.user_id, day, value, trace.variant)
-
-
 def record_to_json(record: EventLogRecord) -> str:
     payload = {
         "user_id": record.user_id,
@@ -67,15 +67,18 @@ def record_to_json(record: EventLogRecord) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def write_event_log(path: str | Path, traces: Iterable[UserTrace]) -> int:
+def write_event_log(path: str | Path, traces: TraceTable) -> int:
     """Write traces as JSONL, one active user-day per line. Returns row count."""
-    n = 0
+    variants = [_VARIANT[code] for code in traces.variants.tolist()]
+    users, columns = np.nonzero(traces.present)
+    days = (columns + 1).tolist()
+    values = traces.values[users, columns].tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in iter_records(traces):
+        for user, day, value in zip(users.tolist(), days, values):
+            record = EventLogRecord(traces.user_ids[user], day, value, variants[user])
             fh.write(record_to_json(record))
             fh.write("\n")
-            n += 1
-    return n
+    return len(values)
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -172,15 +175,18 @@ def _iter_csv(fh: TextIO, calendar: ExperimentCalendar, report: IngestReport) ->
 def build_traces(
     records: Iterable[EventLogRecord],
     report: IngestReport,
+    calendar: ExperimentCalendar,
     require_variant: bool = False,
-) -> list[UserTrace]:
-    """Aggregate records into traces: daily values summed, users sorted by id.
+) -> TraceTable:
+    """Aggregate records into a trace table: daily values summed, users sorted by id.
 
     A record whose variant contradicts an earlier one for the same user is
-    rejected; with ``require_variant`` records without one are too.
+    rejected; with ``require_variant`` records without one are too. Same-day
+    rows whose sum is not finite fail the whole log with DataFormatError.
     """
-    daily: dict[str, dict[int, float]] = {}
     variants: dict[str, Variant | None] = {}
+    row_of: dict[str, int] = {}
+    rows, days, values = array("q"), array("q"), array("d")
     for record in records:
         known = variants.get(record.user_id)
         if record.variant is not None and known is not None and record.variant is not known:
@@ -193,28 +199,39 @@ def build_traces(
             variants[record.user_id] = record.variant
         else:
             variants.setdefault(record.user_id, None)
-        days = daily.setdefault(record.user_id, {})
-        days[record.day] = days.get(record.day, 0.0) + record.value
+        rows.append(row_of.setdefault(record.user_id, len(row_of)))
+        days.append(record.day)
+        values.append(record.value)
         report.accepted_rows += 1
-    traces = []
-    for user_id in sorted(daily):
-        days = sorted(daily[user_id])
-        traces.append(
-            UserTrace(
-                user_id=user_id,
-                variant=variants[user_id],
-                days=tuple(days),
-                values=tuple(daily[user_id][t] for t in days),
-            )
+    user_ids = sorted(row_of)
+    rank = np.empty(len(user_ids), dtype=np.int64)
+    rank[[row_of[user_id] for user_id in user_ids]] = np.arange(len(user_ids))
+    index = (rank[np.frombuffer(rows, dtype=np.int64)], np.frombuffer(days, dtype=np.int64) - 1)
+    present = np.zeros((len(user_ids), calendar.k), dtype=bool)
+    present[index] = True
+    daily = np.zeros(present.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Unbuffered: rows for one user-day are added in log order.
+        np.add.at(daily, index, np.frombuffer(values, dtype=float))
+    overflow = np.argwhere(~np.isfinite(daily))
+    if overflow.size:
+        user, column = overflow[0]
+        raise DataFormatError(
+            f"user {user_ids[user]}: rows for day {column + 1} sum to a non-finite value"
         )
-    return traces
+    return TraceTable(
+        user_ids=user_ids,
+        variants=[_CODE[variants[u]] for u in user_ids],
+        present=present,
+        values=daily,
+    )
 
 
 def read_event_log(
     path: str | Path,
     calendar: ExperimentCalendar,
     require_variant: bool = False,
-) -> tuple[list[UserTrace], IngestReport]:
+) -> tuple[TraceTable, IngestReport]:
     """Load a JSONL or CSV event log (dispatched on the ``.csv`` extension)."""
     path = Path(path)
     report = IngestReport()
@@ -224,7 +241,7 @@ def read_event_log(
                 rows = _iter_csv(fh, calendar, report)
             else:
                 rows = _iter_jsonl(fh, calendar, report)
-            traces = build_traces(rows, report, require_variant)
+            traces = build_traces(rows, report, calendar, require_variant)
     except OSError as exc:
         raise DataFormatError(f"cannot read event log {path}: {exc}") from exc
     return traces, report

@@ -2,8 +2,11 @@
 
 The metric is a mean of means: each included user's outcomes are averaged
 over their active days inside the inclusion interval, and the group value is
-the average of those per-user means. Everything operates on immutable traces
-and is deterministic for a fixed input ordering.
+the average of those per-user means. A user first active on day t0 is
+analysed over ``[t0, k]`` under open; under bounded(d) the user is admitted
+only if ``t0 <= k - d`` and is analysed over ``[t0, t0 + d - 1]``.
+``metric_table`` applies that rule to every user of a ``TraceTable`` at once;
+everything is deterministic for a fixed user order.
 """
 
 from __future__ import annotations
@@ -11,18 +14,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
     ExperimentCalendar,
-    InclusionInterval,
     InclusionPolicy,
     InsufficientDataError,
-    UserTrace,
+    PolicyKind,
+    TraceTable,
     Variant,
-    inclusion_interval,
 )
 
 
@@ -63,61 +64,57 @@ class AnalysisResult:
 
 @dataclass(frozen=True)
 class MetricTable:
-    """Per-user analysis inputs aligned with the trace collection order.
+    """Per-user analysis inputs aligned with the trace table's row order.
 
     ``variants`` codes treatment as 1, control as 0, unassigned as -1.
+    ``first_day`` is the first active day (0 for a user never active).
     ``included`` marks users admitted by the policy; ``values`` holds their
-    per-user metric (NaN where not included).
+    per-user metric and ``weekend_share`` the share of their analysed active
+    days that fall on a weekend (both NaN where not included).
     """
 
     variants: np.ndarray
+    first_day: np.ndarray
     included: np.ndarray
     values: np.ndarray
-
-
-def user_metric(trace: UserTrace, interval: InclusionInterval) -> float:
-    """Mean outcome over the user's active days inside ``interval``.
-
-    The interval must come from ``inclusion_interval`` for this trace, which
-    guarantees at least one active day; a window with none is a logic error.
-    """
-    lo, hi = trace.slice_indices(interval)
-    if hi == lo:
-        raise ValueError(
-            f"user {trace.user_id}: no active days in [{interval.start}, {interval.end}]; "
-            "interval does not belong to this trace"
-        )
-    return math.fsum(trace.values[lo:hi]) / (hi - lo)
+    weekend_share: np.ndarray
 
 
 def metric_table(
-    traces: Sequence[UserTrace], policy: InclusionPolicy, calendar: ExperimentCalendar
+    traces: TraceTable, policy: InclusionPolicy, calendar: ExperimentCalendar
 ) -> MetricTable:
-    """Apply the inclusion rule to every trace and compute per-user metrics."""
+    """Apply the inclusion rule to every user and compute per-user metrics."""
     policy.validate_for(calendar)
-    n = len(traces)
-    variants = np.full(n, -1, dtype=np.int8)
-    included = np.zeros(n, dtype=bool)
-    values = np.full(n, np.nan)
-    for i, trace in enumerate(traces):
-        if trace.variant is Variant.TREATMENT:
-            variants[i] = 1
-        elif trace.variant is Variant.CONTROL:
-            variants[i] = 0
-        t0 = trace.first_active_day
-        if t0 is None:
-            continue
-        interval = inclusion_interval(policy, t0, calendar)
-        if interval is None:
-            continue
-        lo, hi = trace.slice_indices(interval)
-        included[i] = True
-        values[i] = sum(trace.values[lo:hi]) / (hi - lo)
-    return MetricTable(variants=variants, included=included, values=values)
+    traces.require_calendar(calendar)
+    present = traces.present
+    active = present.any(axis=1)
+    first_day = np.where(active, present.argmax(axis=1) + 1, 0)
+    included = active & (first_day <= policy.admission_deadline(calendar))
+    window = present & included[:, None]
+    if policy.kind is PolicyKind.BOUNDED:
+        window &= np.arange(1, calendar.k + 1) <= (first_day + policy.d - 1)[:, None]
+    # Summed day by day from the left, so each user's total carries the
+    # same bits as a plain running sum over their active days.
+    total = np.zeros(len(traces))
+    for day in range(calendar.k):
+        total += np.where(window[:, day], traces.values[:, day], 0.0)
+    active_days = window.sum(axis=1)
+    weekend_days = (window & calendar.weekend_mask()).sum(axis=1)
+    values = np.full(len(traces), np.nan)
+    weekend_share = np.full(len(traces), np.nan)
+    values[included] = total[included] / active_days[included]
+    weekend_share[included] = weekend_days[included] / active_days[included]
+    return MetricTable(
+        variants=traces.variants,
+        first_day=first_day,
+        included=included,
+        values=values,
+        weekend_share=weekend_share,
+    )
 
 
 def group_summary(
-    traces: Sequence[UserTrace],
+    traces: TraceTable,
     variant: Variant,
     policy: InclusionPolicy,
     calendar: ExperimentCalendar,
@@ -186,7 +183,7 @@ def _two_sided_test(
 
 
 def delta_estimate(
-    traces: Sequence[UserTrace],
+    traces: TraceTable,
     policy: InclusionPolicy,
     calendar: ExperimentCalendar,
     test: TestKind = TestKind.Z,
@@ -204,7 +201,7 @@ def delta_estimate(
 
 
 def weekend_ratio_gamma(
-    traces: Iterable[UserTrace], policy: InclusionPolicy, calendar: ExperimentCalendar
+    traces: TraceTable, policy: InclusionPolicy, calendar: ExperimentCalendar
 ) -> float:
     """Mean over included users of weekend active days / all active days.
 
@@ -212,24 +209,9 @@ def weekend_ratio_gamma(
     gamma * x, so this is the scale factor that converts a weekend effect
     into an average effect over the analyzed sample.
     """
-    policy.validate_for(calendar)
-    weekend = set(calendar.weekend_days())
-    total = 0.0
-    n = 0
-    for trace in traces:
-        t0 = trace.first_active_day
-        if t0 is None:
-            continue
-        interval = inclusion_interval(policy, t0, calendar)
-        if interval is None:
-            continue
-        lo, hi = trace.slice_indices(interval)
-        active = hi - lo
-        if active == 0:
-            raise ValueError(f"user {trace.user_id}: empty inclusion interval")
-        weekend_active = sum(1 for t in trace.days[lo:hi] if t in weekend)
-        total += weekend_active / active
-        n += 1
-    if n == 0:
+    table = metric_table(traces, policy, calendar)
+    shares = table.weekend_share[table.included]
+    if shares.size == 0:
         raise InsufficientDataError("no users admitted under the policy")
-    return total / n
+    # A running sum in user order, not numpy's pairwise sum.
+    return float(np.cumsum(shares)[-1]) / shares.size

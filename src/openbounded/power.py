@@ -22,7 +22,7 @@ from .core import (
     ExperimentCalendar,
     InclusionPolicy,
     InsufficientDataError,
-    UserTrace,
+    TraceTable,
     bounded,
 )
 from .metrics import MetricTable, TestKind, delta_from_samples, metric_table
@@ -157,7 +157,7 @@ def _sweep(
 
 
 def power_curve(
-    traces: Sequence[UserTrace],
+    traces: TraceTable,
     policy: InclusionPolicy,
     calendar: ExperimentCalendar,
     fractions: Sequence[float],
@@ -181,7 +181,7 @@ def power_curve(
 
 
 def compare_policies(
-    traces: Sequence[UserTrace],
+    traces: TraceTable,
     calendar: ExperimentCalendar,
     fractions: Sequence[float],
     repetitions: int = 500,

@@ -12,18 +12,13 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import replace
+from typing import Literal
 
 import numpy as np
 
 from .analytic import Model1Params, Model2Params
-from .core import (
-    ConfigurationError,
-    ExperimentCalendar,
-    InsufficientDataError,
-    UserTrace,
-    Variant,
-)
+from .core import ConfigurationError, ExperimentCalendar, InsufficientDataError, TraceTable
 
 NoiseKind = Literal["normal", "lognormal"]
 
@@ -66,10 +61,6 @@ class EffectSpec:
     tau_prime: float = 0.0
 
 
-def _weekend_row(calendar: ExperimentCalendar) -> np.ndarray:
-    return np.array([calendar.is_weekend(t) for t in calendar.days()], dtype=float)
-
-
 def _noise_matrix(
     rng: np.random.Generator, shape: tuple[int, int], sigma: float, kind: NoiseKind
 ) -> np.ndarray:
@@ -81,12 +72,24 @@ def _noise_matrix(
     raise ConfigurationError(f"unknown noise kind: {kind!r}")
 
 
-def _build_trace(user_id: str, variant: Variant, days: np.ndarray, row: np.ndarray) -> UserTrace:
-    return UserTrace(
-        user_id=user_id,
-        variant=variant,
-        days=tuple(int(t) for t in days),
-        values=tuple(float(v) for v in row[days - 1]),
+def _simulated_table(
+    presence: np.ndarray,
+    levels: np.ndarray,
+    noise: np.ndarray,
+    effect: np.ndarray,
+    n_treated: int,
+) -> TraceTable:
+    """Users ``u0000000``, ... with the first ``n_treated`` in treatment."""
+    total = presence.shape[0]
+    values = noise
+    values += levels[:, None]
+    values[:n_treated] += effect
+    np.copyto(values, 0.0, where=~presence)
+    return TraceTable(
+        user_ids=np.char.mod("u%07d", np.arange(total)).tolist(),
+        variants=(np.arange(total) < n_treated).astype(np.int8),
+        present=presence,
+        values=values,
     )
 
 
@@ -97,7 +100,7 @@ def simulate_model1(
     *,
     sigma_user: float = 0.0,
     noise_kind: NoiseKind = "normal",
-) -> list[UserTrace]:
+) -> TraceTable:
     """Fixed-population traces: Bernoulli(p) presence on every day.
 
     Generates ``n_per_arm`` treatment users followed by ``n_per_arm``
@@ -118,18 +121,8 @@ def simulate_model1(
         levels = levels + rng.normal(0.0, sigma_user, total)
     noise = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
 
-    weekend = _weekend_row(calendar)
-    effect = params.tau + params.tau_prime * weekend
-    traces: list[UserTrace] = []
-    for u in range(total):
-        treated = u < n_per_arm
-        row = levels[u] + noise[u]
-        if treated:
-            row = row + effect
-        days = np.flatnonzero(presence[u]) + 1
-        variant = Variant.TREATMENT if treated else Variant.CONTROL
-        traces.append(_build_trace(f"u{u:07d}", variant, days, row))
-    return traces
+    effect = params.tau + params.tau_prime * calendar.weekend_mask()
+    return _simulated_table(presence, levels, noise, effect, n_per_arm)
 
 
 def simulate_model2(
@@ -138,7 +131,7 @@ def simulate_model2(
     *,
     sigma_user: float = 0.0,
     noise_kind: NoiseKind = "normal",
-) -> list[UserTrace]:
+) -> TraceTable:
     """Evolving-population traces: ``ns`` arrivals per day per arm, then
     present every remaining day.
 
@@ -155,25 +148,15 @@ def simulate_model2(
         levels = levels + rng.normal(0.0, sigma_user, total)
     noise = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
 
-    weekend = _weekend_row(calendar)
-    effect = params.tau + params.tau_prime * weekend
-    traces: list[UserTrace] = []
-    all_days = np.arange(1, k + 1)
-    for u in range(total):
-        treated = u < per_arm
-        arrival = (u % per_arm) // params.ns + 1
-        row = levels[u] + noise[u]
-        if treated:
-            row = row + effect
-        days = all_days[arrival - 1 :]
-        variant = Variant.TREATMENT if treated else Variant.CONTROL
-        traces.append(_build_trace(f"u{u:07d}", variant, days, row))
-    return traces
+    arrival = (np.arange(total) % per_arm) // params.ns + 1
+    presence = np.arange(1, k + 1) >= arrival[:, None]
+    effect = params.tau + params.tau_prime * calendar.weekend_mask()
+    return _simulated_table(presence, levels, noise, effect, per_arm)
 
 
-def strip_variants(traces: Sequence[UserTrace]) -> list[UserTrace]:
+def strip_variants(traces: TraceTable) -> TraceTable:
     """Drop variant assignments, e.g. to replay a log through ``inject_effect``."""
-    return [UserTrace(t.user_id, None, t.days, t.values) for t in traces]
+    return replace(traces, variants=np.full(len(traces), -1, dtype=np.int8))
 
 
 def _assign_treatment(seed: Seed, user_id: str) -> bool:
@@ -185,49 +168,40 @@ def _assign_treatment(seed: Seed, user_id: str) -> bool:
 
 
 def inject_effect(
-    traces: Sequence[UserTrace],
+    traces: TraceTable,
     spec: EffectSpec,
     calendar: ExperimentCalendar,
     assignment_seed: Seed,
-) -> list[UserTrace]:
+) -> TraceTable:
     """Randomize variants 50/50 and add the effect to treatment outcomes.
 
-    Control traces keep their activity pattern and outcomes untouched;
-    treatment traces get the effect added on every active day, with the
-    weekend extra on weekend days. Input traces must not carry variants.
+    Control users keep their activity pattern and outcomes untouched;
+    treatment users get the effect added on every active day, with the
+    weekend extra on weekend days. Input users must not carry variants.
     """
-    if not traces:
+    if not len(traces):
         raise InsufficientDataError("cannot inject an effect into an empty trace collection")
-    for trace in traces:
-        if trace.variant is not None:
-            raise ConfigurationError(
-                f"user {trace.user_id} already carries a variant; refusing to reassign"
-            )
-    assignments = [_assign_treatment(assignment_seed, t.user_id) for t in traces]
+    assigned = np.flatnonzero(traces.variants >= 0)
+    if assigned.size:
+        raise ConfigurationError(
+            f"user {traces.user_ids[assigned[0]]} already carries a variant; refusing to reassign"
+        )
+    traces.require_calendar(calendar)
+    treated = np.array([_assign_treatment(assignment_seed, u) for u in traces.user_ids])
 
     if spec.kind is EffectKind.RELATIVE_LIFT:
-        control_values = [
-            v for t, a in zip(traces, assignments) if not a for v in t.values
-        ]
-        if not control_values:
+        control_values = traces.values[~treated][traces.present[~treated]]
+        if not control_values.size:
             raise InsufficientDataError("no control outcomes to anchor the relative lift")
-        base = math.fsum(control_values) / len(control_values)
+        base = math.fsum(control_values) / control_values.size
     else:
         base = 1.0
     tau = spec.tau * base
     tau_prime = spec.tau_prime * base
 
-    weekend = set(calendar.weekend_days())
-    out: list[UserTrace] = []
-    for trace, treated in zip(traces, assignments):
-        for t in trace.days:
-            calendar.require_day(t)
-        if not treated:
-            out.append(UserTrace(trace.user_id, Variant.CONTROL, trace.days, trace.values))
-            continue
-        values = tuple(
-            v + tau + (tau_prime if t in weekend else 0.0)
-            for t, v in zip(trace.days, trace.values)
-        )
-        out.append(UserTrace(trace.user_id, Variant.TREATMENT, trace.days, values))
-    return out
+    lifted = traces.values + tau + np.where(calendar.weekend_mask(), tau_prime, 0.0)
+    return replace(
+        traces,
+        variants=treated.astype(np.int8),
+        values=np.where(treated[:, None] & traces.present, lifted, traces.values),
+    )

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -103,6 +104,17 @@ class TestAnalyzeCommand:
         assert {row["policy"] for row in rows} == {"open", "bounded"}
         float(rows[0]["delta"])
 
+    def test_csv_blanks_non_finite_cells(self, tmp_path, capsys):
+        # Constant outcomes: zero variance, so the statistic is infinite.
+        rows = [{"user_id": f"t{i}", "day": 1, "variant": "T", "value": 2.0} for i in (1, 2)]
+        rows += [{"user_id": f"c{i}", "day": 1, "variant": "C", "value": 1.0} for i in (1, 2)]
+        path = tmp_path / "flat.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out, _ = run_cli(capsys, "analyze", "-i", str(path), "--format", "csv")
+        assert code == 0
+        for row in csv.DictReader(io.StringIO(out)):
+            assert row["delta"] == "1.0" and row["statistic"] == ""
+
     def test_deterministic_output(self, small_log, tmp_path, capsys):
         target = tmp_path / "report.json"
         run_cli(capsys, "analyze", "-i", str(small_log), "-o", str(target))
@@ -130,6 +142,19 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "warning:" in err and "day-out-of-range" in err
         assert json.loads(out)["ingest"]["rejected"] == {"day-out-of-range": 1}
+
+    def test_same_day_overflow_exit_data(self, tmp_path, capsys):
+        # Each row is finite; their sum for one user-day is not.
+        rows = [{"user_id": "t0", "day": 1, "variant": "T", "value": 1e308}] * 2
+        rows += [{"user_id": f"t{i}", "day": 1, "variant": "T", "value": 1.0} for i in (1, 2)]
+        rows += [{"user_id": f"c{i}", "day": 2, "variant": "C", "value": 1.0} for i in (1, 2)]
+        path = tmp_path / "huge.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", "-i", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "t0" in err
 
     def test_missing_file_exit_data(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "analyze", "-i", str(tmp_path / "nope.jsonl"))
@@ -282,6 +307,41 @@ class TestConfigResolution:
             "-o", str(tmp_path / "m.jsonl"),
         )
         assert code == 1 and "frobnicate" in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k": "abc"},
+            {"k": 2.5},
+            {"k": [14]},
+            {"d": None},
+            {"p_grid": 5},
+            {"format": "xml"},
+            {"no_oracle": "yes"},
+            {"policy": "open"},
+            {"policy": ["open", "closed"]},
+            {"command": "simulate"},
+        ],
+    )
+    def test_wrong_typed_config_value_rejected(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, out, err = run_cli(
+            capsys, "analytic", "--model", "model1", "--p-grid", "0.5", "--config", str(cfg),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_config_text_converted_like_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": "21", "policy": ["open"], "no_oracle": True}))
+        code, out, _ = run_cli(
+            capsys, "analytic", "--model", "model1", "--p-grid", "0.5", "--format", "json",
+            "--config", str(cfg),
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["k"], config["policy"], config["no_oracle"]) == (21, ["open"], True)
 
     def test_seed_env_var_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBOUNDED_SEED", "777")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,30 +9,29 @@ from openbounded import (
     ExperimentCalendar,
     InclusionPolicy,
     PolicyKind,
-    UserTrace,
+    TraceTable,
     Weekday,
     bounded,
-    first_active_day,
-    inclusion_interval,
-    is_weekend,
 )
-from conftest import make_trace
+from openbounded.metrics import metric_table
+from conftest import make_table
 
 
 class TestCalendar:
     def test_monday_start_weekends(self, monday14):
         assert [t for t in monday14.days() if monday14.is_weekend(t)] == [6, 7, 13, 14]
+        assert (np.flatnonzero(monday14.weekend_mask()) + 1).tolist() == [6, 7, 13, 14]
 
     def test_day6_monday_start_is_saturday(self, monday14):
-        assert is_weekend(6, monday14)
+        assert monday14.is_weekend(6)
         assert monday14.weekday_of(6) is Weekday.SATURDAY
 
     def test_day8_monday_start_is_weekday(self, monday14):
-        assert not is_weekend(8, monday14)
+        assert not monday14.is_weekend(8)
 
     def test_saturday_start_day1_is_weekend(self):
         cal = ExperimentCalendar(k=7, start_dow=Weekday.SATURDAY)
-        assert is_weekend(1, cal)
+        assert cal.is_weekend(1)
 
     @given(st.sampled_from(list(Weekday)))
     def test_any_week_has_two_weekend_days(self, start):
@@ -54,40 +54,54 @@ class TestCalendar:
             monday14.is_weekend(0)
 
 
+def _first_day(day_values):
+    table = make_table([("u1", None, day_values)])
+    return int(metric_table(table, OPEN, ExperimentCalendar(14)).first_day[0])
+
+
 class TestFirstActiveDay:
     def test_min_active_day(self):
-        trace = make_trace("u1", None, {3: 1.0, 5: 1.0})
-        assert first_active_day(trace) == 3
+        assert _first_day({3: 1.0, 5: 1.0}) == 3
 
     def test_no_activity(self):
-        trace = UserTrace("u1", None, (), ())
-        assert first_active_day(trace) is None
+        assert _first_day({}) == 0
 
     def test_always_active(self):
-        trace = make_trace("u1", None, {d: 1.0 for d in range(1, 15)})
-        assert first_active_day(trace) == 1
+        assert _first_day({d: 1.0 for d in range(1, 15)}) == 1
+
+
+def analysed_days(policy, t0, calendar):
+    """Days analysed for a user active every day from ``t0``, or None if excluded.
+
+    Each day's value is its index, so the per-user mean over ``[t0, end]``
+    is ``(t0 + end) / 2`` and gives the window back exactly.
+    """
+    days = range(t0, calendar.k + 1)
+    table = make_table([("u", None, {t: float(t) for t in days})], k=calendar.k)
+    metrics = metric_table(table, policy, calendar)
+    if not metrics.included[0]:
+        return None
+    assert metrics.first_day[0] == t0
+    return range(t0, int(2 * metrics.values[0]) - t0 + 1)
 
 
 class TestInclusionInterval:
     def test_open_spans_to_end(self, monday14):
-        assert inclusion_interval(OPEN, 3, monday14).days() == range(3, 15)
+        assert analysed_days(OPEN, 3, monday14) == range(3, 15)
 
     def test_bounded_spans_exactly_d_days(self, monday14):
-        interval = inclusion_interval(bounded(7), 3, monday14)
-        assert (interval.start, interval.end) == (3, 9)
-        assert len(interval.days()) == 7
+        assert analysed_days(bounded(7), 3, monday14) == range(3, 10)
 
     def test_bounded_excludes_past_deadline(self, monday14):
-        assert inclusion_interval(bounded(7), 8, monday14) is None
-        assert inclusion_interval(bounded(7), 7, monday14) is not None
+        assert analysed_days(bounded(7), 8, monday14) is None
+        assert analysed_days(bounded(7), 7, monday14) is not None
 
     def test_bounded_window_longer_than_experiment(self, monday14):
         with pytest.raises(ConfigurationError):
-            inclusion_interval(bounded(15), 1, monday14)
+            analysed_days(bounded(15), 1, monday14)
 
     def test_open_admits_last_day(self, monday14):
-        interval = inclusion_interval(OPEN, 14, monday14)
-        assert (interval.start, interval.end) == (14, 14)
+        assert analysed_days(OPEN, 14, monday14) == range(14, 15)
 
     @given(
         st.integers(min_value=1, max_value=14),
@@ -95,14 +109,15 @@ class TestInclusionInterval:
     )
     def test_bounded_admission_subset_of_open(self, t0, d):
         cal = ExperimentCalendar(k=14)
-        open_iv = inclusion_interval(OPEN, t0, cal)
-        bounded_iv = inclusion_interval(bounded(d), t0, cal)
-        assert open_iv is not None
-        if bounded_iv is not None:
-            assert bounded_iv.contains(t0)
-            assert len(bounded_iv.days()) == d
-            assert bounded_iv.end <= cal.k
-            assert open_iv.contains(bounded_iv.start)
+        open_days = analysed_days(OPEN, t0, cal)
+        bounded_days = analysed_days(bounded(d), t0, cal)
+        assert open_days is not None
+        assert (bounded_days is not None) == (t0 <= cal.k - d)
+        if bounded_days is not None:
+            assert bounded_days.start == t0
+            assert len(bounded_days) == d
+            assert bounded_days[-1] <= cal.k
+            assert bounded_days.start in open_days
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
@@ -118,23 +133,35 @@ class TestInclusionInterval:
 
 
 class TestUserTrace:
+    """A user's trace is one row of the TraceTable."""
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            UserTrace("u", None, (1, 2), (1.0,))
+            TraceTable(("a", "b"), [1, 0], np.zeros((3, 14), bool), np.zeros((3, 14)))
+        with pytest.raises(ConfigurationError):
+            TraceTable(("a", "b"), [1], np.zeros((2, 14), bool), np.zeros((2, 14)))
 
-    def test_days_must_increase(self):
+    def test_malformed_columns_rejected(self):
         with pytest.raises(ConfigurationError):
-            UserTrace("u", None, (2, 2), (1.0, 1.0))
+            TraceTable(("a",), [1], np.zeros((1, 14), bool), np.zeros((1, 13)))
         with pytest.raises(ConfigurationError):
-            UserTrace("u", None, (3, 1), (1.0, 1.0))
+            TraceTable(("a",), [1], np.zeros(14, bool), np.zeros(14))
+        with pytest.raises(ConfigurationError):
+            TraceTable(("a",), [2], np.zeros((1, 14), bool), np.zeros((1, 14)))
+        with pytest.raises(ConfigurationError):
+            TraceTable(("a",), [1], np.zeros((1, 14), bool), np.ones((1, 14)))
 
-    def test_days_start_at_one(self):
+    def test_days_start_at_one(self, monday14):
+        table = make_table([("u", None, {1: 4.0})])
+        assert table.present[0, 0] and table.values[0, 0] == 4.0
+        assert metric_table(table, OPEN, monday14).first_day[0] == 1
         with pytest.raises(ConfigurationError):
-            UserTrace("u", None, (0, 1), (1.0, 1.0))
+            metric_table(make_table([("u", None, {1: 4.0})], k=13), OPEN, monday14)
 
     def test_presence_and_outcome(self):
-        trace = make_trace("u", "T", {2: 5.0, 9: 7.0})
-        assert trace.presence(2) and not trace.presence(3)
-        assert trace.outcome(9) == 7.0
-        with pytest.raises(KeyError):
-            trace.outcome(3)
+        table = make_table([("u", "T", {2: 5.0, 9: 7.0})])
+        assert len(table) == 1 and table.k == 14
+        assert table.present[0, 1] and not table.present[0, 2]
+        assert table.values[0, 8] == 7.0 and table.values[0, 2] == 0.0
+        with pytest.raises(ValueError):
+            table.values[0, 2] = 1.0

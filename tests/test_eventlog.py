@@ -6,7 +6,6 @@ from openbounded import (
     DataFormatError,
     Model1Params,
     Seed,
-    UserTrace,
     Variant,
     delta_estimate,
     read_event_log,
@@ -21,6 +20,7 @@ from openbounded.eventlog import (
     sidecar_path,
     write_metadata,
 )
+from conftest import user_rows
 
 
 class TestRoundTrip:
@@ -29,10 +29,10 @@ class TestRoundTrip:
         path = tmp_path / "events.jsonl"
         write_event_log(path, traces)
         loaded, report = read_event_log(path, monday14)
-        active = [t for t in traces if t.days]
-        assert loaded == sorted(active, key=lambda t: t.user_id)
+        active = [row for row in user_rows(traces) if row[2]]
+        assert user_rows(loaded) == sorted(active)
         assert report.n_rejected == 0
-        assert report.accepted_rows == sum(t.active_count for t in active)
+        assert report.accepted_rows == traces.present.sum()
 
     def test_analysis_identical_after_round_trip(self, tmp_path, monday14):
         traces = simulate_model1(Model1Params(p=0.5, tau=1.0, sigma=1.0), 60, Seed(4))
@@ -66,8 +66,8 @@ class TestAggregation:
             EventLogRecord("u1", 2, 2.5, Variant.TREATMENT),
             EventLogRecord("u1", 4, 1.0, Variant.TREATMENT),
         ]
-        traces = build_traces(records, report)
-        assert traces == [UserTrace("u1", Variant.TREATMENT, (2, 4), (4.0, 1.0))]
+        traces = build_traces(records, report, monday14)
+        assert user_rows(traces) == [("u1", "T", {2: 4.0, 4: 1.0})]
 
     def test_split_rows_exactly_equivalent(self, monday14):
         report_a, report_b = IngestReport(), IngestReport()
@@ -76,36 +76,36 @@ class TestAggregation:
             EventLogRecord("u1", 3, 2.5, Variant.CONTROL),
             EventLogRecord("u1", 3, 2.5, Variant.CONTROL),
         ]
-        assert build_traces(whole, report_a) == build_traces(halves, report_b)
+        assert build_traces(whole, report_a, monday14) == build_traces(halves, report_b, monday14)
 
-    def test_users_sorted_regardless_of_input_order(self):
+    def test_users_sorted_regardless_of_input_order(self, monday14):
         report = IngestReport()
         records = [
             EventLogRecord("zz", 1, 1.0, Variant.TREATMENT),
             EventLogRecord("aa", 1, 1.0, Variant.CONTROL),
         ]
-        traces = build_traces(records, report)
-        assert [t.user_id for t in traces] == ["aa", "zz"]
+        traces = build_traces(records, report, monday14)
+        assert traces.user_ids == ("aa", "zz")
 
-    def test_variant_conflict_rejected(self):
+    def test_variant_conflict_rejected(self, monday14):
         report = IngestReport()
         records = [
             EventLogRecord("u1", 1, 1.0, Variant.TREATMENT),
             EventLogRecord("u1", 2, 1.0, Variant.CONTROL),
             EventLogRecord("u1", 3, 1.0, Variant.TREATMENT),
         ]
-        traces = build_traces(records, report)
+        traces = build_traces(records, report, monday14)
         assert report.rejected == {"variant-conflict": 1}
-        assert traces[0].days == (1, 3)
+        assert user_rows(traces) == [("u1", "T", {1: 1.0, 3: 1.0})]
 
-    def test_variant_required_mode(self):
+    def test_variant_required_mode(self, monday14):
         report = IngestReport()
         records = [
             EventLogRecord("u1", 1, 1.0, None),
             EventLogRecord("u2", 1, 1.0, Variant.CONTROL),
         ]
-        traces = build_traces(records, report, require_variant=True)
-        assert [t.user_id for t in traces] == ["u2"]
+        traces = build_traces(records, report, monday14, require_variant=True)
+        assert traces.user_ids == ("u2",)
         assert report.rejected == {"missing-variant": 1}
 
 
@@ -136,7 +136,7 @@ class TestJsonlParsing:
             "invalid-variant": 1,
             "missing-user-id": 1,
         }
-        assert traces == [UserTrace("u1", Variant.TREATMENT, (1,), (2.0,))]
+        assert user_rows(traces) == [("u1", "T", {1: 2.0})]
 
     def test_blank_lines_skipped(self, tmp_path, monday14):
         traces, report = self._load(
@@ -161,16 +161,13 @@ class TestCsvParsing:
         )
         traces, report = read_event_log(path, monday14)
         assert report.accepted_rows == 3
-        assert traces == [
-            UserTrace("u1", Variant.TREATMENT, (1, 2), (2.0, 3.0)),
-            UserTrace("u2", Variant.CONTROL, (1,), (4.0,)),
-        ]
+        assert user_rows(traces) == [("u1", "T", {1: 2.0, 2: 3.0}), ("u2", "C", {1: 4.0})]
 
     def test_optional_variant_column(self, tmp_path, monday14):
         path = tmp_path / "log.csv"
         path.write_text("user_id,day,value\nu1,1,2.0\n")
         traces, _ = read_event_log(path, monday14)
-        assert traces[0].variant is None
+        assert user_rows(traces) == [("u1", None, {1: 2.0})]
 
     def test_missing_required_column(self, tmp_path, monday14):
         path = tmp_path / "log.csv"

@@ -8,78 +8,105 @@ from hypothesis import strategies as st
 from openbounded import (
     OPEN,
     ExperimentCalendar,
-    InclusionInterval,
     InsufficientDataError,
+    Model1Params,
+    Seed,
     TestKind,
-    UserTrace,
     Variant,
     bounded,
     delta_estimate,
     group_summary,
-    user_metric,
+    simulate_model1,
     weekend_ratio_gamma,
 )
-from conftest import make_trace
+from openbounded.metrics import metric_table
+from conftest import make_table, user_rows
+
+
+def _user_metric(day_values, policy=bounded(7)):
+    metrics = metric_table(make_table([("u", None, day_values)]), policy, ExperimentCalendar(14))
+    return metrics.values[0]
+
+
+def _reference_loop(table, policy, calendar):
+    """The inclusion rule and double average written out user by user."""
+    deadline = policy.admission_deadline(calendar)
+    metrics, shares = [], []
+    for _, _, day_values in user_rows(table):
+        days = sorted(day_values)
+        if not days or days[0] > deadline:
+            metrics.append(math.nan)
+            shares.append(math.nan)
+            continue
+        end = days[0] + policy.d - 1 if policy.d else calendar.k
+        window = [t for t in days if t <= end]
+        metrics.append(sum(day_values[t] for t in window) / len(window))
+        shares.append(sum(1 for t in window if calendar.is_weekend(t)) / len(window))
+    return np.array(metrics), np.array(shares)
 
 
 class TestUserMetric:
     def test_mean_of_two_values(self):
-        trace = make_trace("u", None, {1: 2.0, 3: 4.0})
-        assert user_metric(trace, InclusionInterval(1, 7)) == 3.0
+        assert _user_metric({1: 2.0, 3: 4.0}) == 3.0
 
     def test_single_active_day(self):
-        trace = make_trace("u", None, {4: 5.0})
-        assert user_metric(trace, InclusionInterval(1, 7)) == 5.0
+        assert _user_metric({4: 5.0}) == 5.0
 
     def test_hand_sum(self):
-        trace = make_trace("u", None, {1: 2.0, 6: 4.0, 7: 6.0})
-        assert user_metric(trace, InclusionInterval(1, 7)) == 4.0
+        assert _user_metric({1: 2.0, 6: 4.0, 7: 6.0}) == 4.0
 
     def test_interval_restricts_days(self):
-        trace = make_trace("u", None, {1: 2.0, 6: 4.0, 10: 100.0})
-        assert user_metric(trace, InclusionInterval(1, 7)) == 3.0
+        assert _user_metric({1: 2.0, 6: 4.0, 10: 100.0}) == 3.0
 
-    def test_empty_interval_is_logic_error(self):
-        trace = make_trace("u", None, {10: 1.0})
-        with pytest.raises(ValueError):
-            user_metric(trace, InclusionInterval(1, 7))
+    def test_user_past_deadline_has_no_metric(self):
+        assert math.isnan(_user_metric({10: 1.0}))
+        assert _user_metric({10: 1.0}, OPEN) == 1.0
+
+    @pytest.mark.parametrize("policy", [OPEN, bounded(7), bounded(3)])
+    def test_matches_reference_loop_bit_for_bit(self, monday14, policy):
+        params = Model1Params(p=0.2, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0)
+        table = simulate_model1(params, 500, Seed(8))
+        metrics = metric_table(table, policy, monday14)
+        values, shares = _reference_loop(table, policy, monday14)
+        np.testing.assert_array_equal(metrics.values, values)
+        np.testing.assert_array_equal(metrics.weekend_share, shares)
+        included = shares[~np.isnan(shares)]
+        running = 0.0
+        for share in included:
+            running += share
+        assert weekend_ratio_gamma(table, policy, monday14) == running / included.size
 
 
 class TestGroupSummary:
     def test_constant_metrics(self, monday14):
-        traces = [make_trace(f"u{i}", "T", {1: 1.0}) for i in range(3)]
+        traces = make_table([(f"u{i}", "T", {1: 1.0}) for i in range(3)])
         summary = group_summary(traces, Variant.TREATMENT, OPEN, monday14)
         assert (summary.n, summary.mean, summary.sample_variance) == (3, 1.0, 0.0)
 
     def test_two_user_variance(self, monday14):
-        traces = [make_trace("a", "T", {1: 1.0}), make_trace("b", "T", {1: 3.0})]
+        traces = make_table([("a", "T", {1: 1.0}), ("b", "T", {1: 3.0})])
         summary = group_summary(traces, Variant.TREATMENT, OPEN, monday14)
         assert summary.n == 2 and summary.mean == 2.0 and summary.sample_variance == 2.0
 
     def test_empty_group_flagged(self, monday14):
-        traces = [make_trace("a", "T", {1: 1.0})]
+        traces = make_table([("a", "T", {1: 1.0})])
         summary = group_summary(traces, Variant.CONTROL, OPEN, monday14)
         assert summary.is_empty and math.isnan(summary.mean)
 
     def test_single_user_variance_undefined(self, monday14):
-        summary = group_summary([make_trace("a", "T", {1: 1.0})], Variant.TREATMENT, OPEN, monday14)
+        traces = make_table([("a", "T", {1: 1.0})])
+        summary = group_summary(traces, Variant.TREATMENT, OPEN, monday14)
         assert summary.n == 1 and math.isnan(summary.sample_variance)
 
     def test_inactive_users_not_counted(self, monday14):
-        traces = [
-            make_trace("a", "T", {1: 1.0}),
-            UserTrace("ghost", Variant.TREATMENT, (), ()),
-        ]
+        traces = make_table([("a", "T", {1: 1.0}), ("ghost", "T", {})])
         assert group_summary(traces, Variant.TREATMENT, OPEN, monday14).n == 1
 
 
 def _two_group_traces(t_values, c_values, day=1):
-    traces = []
-    for i, v in enumerate(t_values):
-        traces.append(make_trace(f"t{i}", "T", {day: v}))
-    for i, v in enumerate(c_values):
-        traces.append(make_trace(f"c{i}", "C", {day: v}))
-    return traces
+    users = [(f"t{i}", "T", {day: v}) for i, v in enumerate(t_values)]
+    users += [(f"c{i}", "C", {day: v}) for i, v in enumerate(c_values)]
+    return make_table(users)
 
 
 class TestDeltaEstimate:
@@ -153,20 +180,20 @@ class TestDeltaEstimate:
 
 class TestWeekendRatioGamma:
     def test_weekday_only_users(self, monday14):
-        traces = [make_trace(f"u{i}", "T", {1: 1.0, 3: 1.0}) for i in range(4)]
+        traces = make_table([(f"u{i}", "T", {1: 1.0, 3: 1.0}) for i in range(4)])
         assert weekend_ratio_gamma(traces, OPEN, monday14) == 0.0
 
     def test_always_active_users(self, monday14):
-        traces = [make_trace("u", "C", {d: 1.0 for d in range(1, 15)})]
+        traces = make_table([("u", "C", {d: 1.0 for d in range(1, 15)})])
         assert weekend_ratio_gamma(traces, OPEN, monday14) == pytest.approx(2 / 7)
 
     def test_bounded_window_changes_ratio(self, monday14):
         # Active every day: a 7-day window from day 1 holds 2 of 7 weekend days.
-        traces = [make_trace("u", "C", {d: 1.0 for d in range(1, 15)})]
+        traces = make_table([("u", "C", {d: 1.0 for d in range(1, 15)})])
         assert weekend_ratio_gamma(traces, bounded(7), monday14) == pytest.approx(2 / 7)
 
     def test_no_included_users(self, monday14):
-        traces = [make_trace("u", "T", {9: 1.0})]
+        traces = make_table([("u", "T", {9: 1.0})])
         with pytest.raises(InsufficientDataError):
             weekend_ratio_gamma(traces, bounded(7), monday14)
 
@@ -174,9 +201,8 @@ class TestWeekendRatioGamma:
     @settings(max_examples=50, deadline=None)
     def test_gamma_in_unit_interval(self, day_sets):
         cal = ExperimentCalendar(14)
-        traces = [
-            make_trace(f"u{i}", "T", {d: 1.0 for d in days})
-            for i, days in enumerate(day_sets)
-        ]
+        traces = make_table(
+            [(f"u{i}", "T", {d: 1.0 for d in days}) for i, days in enumerate(day_sets)]
+        )
         gamma = weekend_ratio_gamma(traces, OPEN, cal)
         assert 0.0 <= gamma <= 1.0

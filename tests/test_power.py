@@ -11,7 +11,7 @@ from openbounded import (
     power_curve,
     simulate_model1,
 )
-from conftest import make_trace
+from conftest import make_table
 
 
 def _deterministic_dataset(n_per_arm=120, tau=1.0):
@@ -60,12 +60,12 @@ class TestPowerCurve:
         assert sum(rates) / len(rates) == pytest.approx(0.05, abs=0.02)
 
     def test_degenerate_repetitions_counted(self, monday14):
-        traces = [
-            make_trace("t1", "T", {1: 1.0}),
-            make_trace("t2", "T", {2: 1.5}),
-            make_trace("c1", "C", {1: 0.5}),
-            make_trace("c2", "C", {3: 0.25}),
-        ]
+        traces = make_table([
+            ("t1", "T", {1: 1.0}),
+            ("t2", "T", {2: 1.5}),
+            ("c1", "C", {1: 0.5}),
+            ("c2", "C", {3: 0.25}),
+        ])
         curve = power_curve(traces, OPEN, monday14, [0.5], repetitions=50, seed=Seed(5))
         point = curve.points[0]
         assert point.degenerate_repetitions > 0
