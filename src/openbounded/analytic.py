@@ -11,10 +11,15 @@ carry independent Normal(0, sigma^2) noise around a common level c.
 
 The target quantity throughout is the average treatment effect under the
 weekly weekend share, tau + (2/7) tau_prime; "bias" means deviation of the
-estimator's expectation from that target. Closed forms are only evaluated in
-the regime they were derived for (14-day Monday-start window, 7-day bounded
-observation); anything else is answered by ``enumeration_oracle``, which
-sums over all 2^k presence patterns exactly.
+estimator's expectation from that target. 2/7 is the paper's weekly estimand,
+so on a window that is not a whole number of weeks even the open policy
+shows a Model 1 bias: the window's own calendar offset, (weekend days among
+1..k) / k - 2/7, for every p.
+
+Every closed form is an exact sum over first-active-day cohorts and holds
+for any window length k, start weekday and bounded observation length d < k.
+``enumeration_oracle`` sums over all 2^k presence patterns instead and is
+the independent check for k <= 20.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from functools import lru_cache
 from .core import (
     ConfigurationError,
     ExperimentCalendar,
-    ExperimentError,
     InclusionPolicy,
     PolicyKind,
     Weekday,
@@ -36,10 +40,6 @@ WEEKEND_SHARE = 2.0 / 7.0
 ORACLE_MAX_DAYS = 20
 
 DEFAULT_CALENDAR = ExperimentCalendar(k=14, start_dow=Weekday.MONDAY)
-
-
-class ClosedFormUnavailable(ExperimentError):
-    """The requested configuration is outside the derived closed-form regime."""
 
 
 @dataclass(frozen=True)
@@ -106,26 +106,18 @@ def model1_cohort_size(n_total: float, p: float, i: int) -> float:
     return n_total * (1.0 - p) ** (i - 1) * p
 
 
-def _effective_d(policy: InclusionPolicy, d: int | None) -> int | None:
-    """Reconcile a bounded policy's window with an explicitly passed one."""
-    if policy.kind is PolicyKind.BOUNDED:
-        if d is not None and d != policy.d:
-            raise ConfigurationError(f"policy carries d={policy.d} but d={d} was passed")
-        return policy.d
-    return d
-
-
-def _require_model1_regime(
+def _observation_length(
     policy: InclusionPolicy, calendar: ExperimentCalendar, d: int | None
-) -> None:
-    ok = calendar.k == 14 and calendar.start_dow is Weekday.MONDAY
-    if policy.kind is PolicyKind.BOUNDED:
-        ok = ok and d == 7
-    if not ok:
-        raise ClosedFormUnavailable(
-            f"closed form unavailable for k={calendar.k}, start={calendar.start_dow.name}, "
-            f"d={d}; use enumeration_oracle"
-        )
+) -> int | None:
+    """A bounded policy's window length, checked to admit a cohort; None for open."""
+    if policy.kind is PolicyKind.OPEN:
+        return None
+    if d is not None and d != policy.d:
+        raise ConfigurationError(f"policy carries d={policy.d} but d={d} was passed")
+    policy.validate_for(calendar)
+    if calendar.k - policy.d < 1:
+        raise ConfigurationError(f"no admitted cohorts with k={calendar.k}, d={policy.d}")
+    return policy.d
 
 
 def _bounded_engagement_moments(
@@ -192,6 +184,17 @@ def _open_engagement_moments(
     return e_inv_n / admitted, e_ratio / admitted, e_ratio_sq / admitted, admitted
 
 
+def _model1_moments(
+    policy: InclusionPolicy, p: float, calendar: ExperimentCalendar, d: int | None
+) -> tuple[float, float, float, float]:
+    if not 0.0 < p <= 1.0:
+        raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
+    d = _observation_length(policy, calendar, d)
+    if d is None:
+        return _open_engagement_moments(p, calendar)
+    return _bounded_engagement_moments(p, calendar, d)
+
+
 def model1_bias(
     policy: InclusionPolicy,
     p: float,
@@ -201,20 +204,14 @@ def model1_bias(
 ) -> float:
     """Expected deviation of the delta estimate from tau + (2/7) tau_prime.
 
-    Open evaluates to zero for every p (the analyzed weekend share of an
-    active user is 2/7 in expectation regardless of activity level). Bounded
+    Open evaluates to the window's calendar offset for every p (given its
+    number of active days, an active user's days are a uniform draw from
+    the window), which is zero when k is a whole number of weeks. Bounded
     is biased because cohorts admitted late see a window whose weekend days
-    compete with fewer remaining weekdays; the worst case over p
-    underestimates by about 0.068 tau_prime.
+    compete with fewer remaining weekdays; on a 14-day Monday-start window
+    with d=7 the worst case over p underestimates by about 0.068 tau_prime.
     """
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
-    d = _effective_d(policy, d)
-    _require_model1_regime(policy, calendar, d)
-    if policy.kind is PolicyKind.BOUNDED:
-        _, e_ratio, _, _ = _bounded_engagement_moments(p, calendar, d)
-    else:
-        _, e_ratio, _, _ = _open_engagement_moments(p, calendar)
+    _, e_ratio, _, _ = _model1_moments(policy, p, calendar, d)
     return (e_ratio - WEEKEND_SHARE) * tau_prime
 
 
@@ -233,31 +230,33 @@ def model1_variance_coeffs(
     the factor two in eta); the weekend-interaction term only varies in the
     treatment arm.
     """
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
-    d = _effective_d(policy, d)
-    _require_model1_regime(policy, calendar, d)
-    if policy.kind is PolicyKind.BOUNDED:
-        e_inv_n, e_ratio, e_ratio_sq, admitted = _bounded_engagement_moments(p, calendar, d)
-    else:
-        e_inv_n, e_ratio, e_ratio_sq, admitted = _open_engagement_moments(p, calendar)
+    e_inv_n, e_ratio, e_ratio_sq, admitted = _model1_moments(policy, p, calendar, d)
     expected_users = n_per_arm * admitted
     eta = 2.0 * e_inv_n / expected_users
     zeta = (e_ratio_sq - e_ratio * e_ratio) / expected_users
     return eta, zeta
 
 
-def open_cohort_weekend_shares(calendar: ExperimentCalendar) -> tuple[float, ...]:
-    """Weekend share of days ``[i, k]`` for each arrival day i (always-active users)."""
+def _model2_cohorts(
+    policy: InclusionPolicy, calendar: ExperimentCalendar, d: int | None
+) -> tuple[list[float], list[int]]:
+    """Weekend share and length of each admitted arrival cohort's window.
+
+    A Model 2 user arriving on day i is active every day from then on, so
+    open analyses days [i, k] for i = 1..k and bounded(d) analyses
+    [i, i + d - 1] for the admitted arrivals i = 1..k - d.
+    """
+    d = _observation_length(policy, calendar, d)
     k = calendar.k
+    if d is None:
+        windows = [range(i, k + 1) for i in range(1, k + 1)]
+    else:
+        windows = [range(i, i + d) for i in range(1, k - d + 1)]
     weekend = set(calendar.weekend_days())
-    shares = []
-    for i in range(1, k + 1):
-        n_weekend = sum(1 for t in range(i, k + 1) if t in weekend)
-        shares.append(n_weekend / (k + 1 - i))
-    return tuple(shares)
+    shares = [sum(1 for t in window if t in weekend) / len(window) for window in windows]
+    return shares, [len(window) for window in windows]
 
 
 def model2_bias(
@@ -267,23 +266,15 @@ def model2_bias(
 ) -> float:
     """Bias of the delta estimate under Model 2, as a coefficient of tau_prime.
 
-    Bounded with a one-week window is exactly unbiased: every admitted user
-    contributes 7 consecutive fully-active days, i.e. exactly two weekend
-    days. Open overweights late arrivals' calendar position; for a 14-day
-    Monday start the coefficient is about +0.19 and it shrinks as the window
-    grows.
+    Equal-sized arrival cohorts each contribute their window's weekend
+    share. Bounded with a whole-week window is exactly unbiased: every
+    admitted user contributes d consecutive fully-active days, 2d/7 of them
+    on weekends. Open overweights late arrivals' calendar position; for a
+    14-day Monday start the coefficient is about +0.19 and it shrinks as the
+    window grows.
     """
-    d = _effective_d(policy, d)
-    if policy.kind is PolicyKind.BOUNDED:
-        if d != 7:
-            raise ClosedFormUnavailable(
-                f"closed form covers one-week windows, got d={d}; use enumeration_oracle"
-            )
-        if calendar.k <= d:
-            raise ConfigurationError(f"no admitted cohorts with k={calendar.k}, d={d}")
-        return 0.0
-    shares = open_cohort_weekend_shares(calendar)
-    return math.fsum(shares) / calendar.k - WEEKEND_SHARE
+    shares, _ = _model2_cohorts(policy, calendar, d)
+    return math.fsum(shares) / len(shares) - WEEKEND_SHARE
 
 
 def model2_variance_coeffs(
@@ -294,31 +285,19 @@ def model2_variance_coeffs(
 ) -> tuple[float, float]:
     """(eta, zeta) such that E[Var(delta)] = eta sigma^2 + zeta tau_prime^2.
 
-    Bounded: each admitted user averages noise over exactly d days and shows
-    no weekend-share spread, so eta = 2 / (d (k - d) ns) and zeta = 0.
-    Open: arrival-day cohorts of equal size observe 1..k days, giving a
-    harmonic noise weight and a weekend-share spread term across cohorts.
+    Over n admitted arrival cohorts of ``ns`` users each, eta is twice the
+    mean inverse window length over n ns (noise enters both arms) and zeta
+    is the spread of the cohorts' weekend shares over n^2 ns. Bounded(d)
+    therefore has eta = 2 / (d (k - d) ns), and zeta = 0 when d is a whole
+    number of weeks.
     """
     if ns < 1:
         raise ConfigurationError(f"arrival count per day must be >= 1, got {ns}")
-    k = calendar.k
-    d = _effective_d(policy, d)
-    if policy.kind is PolicyKind.BOUNDED:
-        if d != 7:
-            raise ClosedFormUnavailable(
-                f"closed form covers one-week windows, got d={d}; use enumeration_oracle"
-            )
-        admitted_cohorts = k - d
-        if admitted_cohorts < 1:
-            raise ConfigurationError(f"no admitted cohorts with k={k}, d={d}")
-        eta = 2.0 / (d * admitted_cohorts * ns)
-        return eta, 0.0
-    shares = open_cohort_weekend_shares(calendar)
-    mean_share = math.fsum(shares) / k
-    harmonic = math.fsum(1.0 / (k + 1 - i) for i in range(1, k + 1))
-    spread = math.fsum((r - mean_share) ** 2 for r in shares)
-    eta = 2.0 * harmonic / (k * k * ns)
-    zeta = spread / (k * k * ns)
+    shares, lengths = _model2_cohorts(policy, calendar, d)
+    n = len(shares)
+    mean_share = math.fsum(shares) / n
+    eta = 2.0 * math.fsum(1.0 / length for length in lengths) / (n * n * ns)
+    zeta = math.fsum((r - mean_share) ** 2 for r in shares) / (n * n * ns)
     return eta, zeta
 
 
@@ -387,11 +366,15 @@ class OracleExpectation:
     every user with any activity, counting the non-admitted as zero (the
     convention of the 4-day desk example). ``metric_mean`` is the expected
     per-user metric of an admitted treatment user with zero noise.
+    ``inverse_days`` and ``ratio_sq`` are E[1 / analysed days] and
+    E[ratio^2] over admitted users, the moments behind the variance terms.
     """
 
     ratio: float
     ratio_over_active: float
     metric_mean: float
+    inverse_days: float
+    ratio_sq: float
     admission_probability: float
     activity_probability: float
 
@@ -471,12 +454,16 @@ def enumeration_oracle(
     admitted_prob = 0.0
     ratio_acc = 0.0
     metric_acc = 0.0
+    inverse_acc = 0.0
+    ratio_sq_acc = 0.0
     for total_active, analyzed, effect, count in groups:
         weight = count * pow_p[total_active] * pow_q[k - total_active]
         share = effect / analyzed
         admitted_prob += weight
         ratio_acc += weight * share
         metric_acc += weight * (c + tau + tau_prime * share)
+        inverse_acc += weight / analyzed
+        ratio_sq_acc += weight * share * share
     activity_prob = admitted_prob + sum(
         n * pow_p[a] * pow_q[k - a] for a, n in enumerate(excluded) if n
     )
@@ -486,6 +473,8 @@ def enumeration_oracle(
         ratio=ratio_acc / admitted_prob,
         ratio_over_active=ratio_acc / activity_prob,
         metric_mean=metric_acc / admitted_prob,
+        inverse_days=inverse_acc / admitted_prob,
+        ratio_sq=ratio_sq_acc / admitted_prob,
         admission_probability=admitted_prob,
         activity_probability=activity_prob,
     )

@@ -22,7 +22,6 @@ from . import __version__
 from .analytic import (
     ORACLE_MAX_DAYS,
     WEEKEND_SHARE,
-    ClosedFormUnavailable,
     Model1Params,
     Model2Params,
     enumeration_oracle,
@@ -43,7 +42,7 @@ from .core import (
     bounded,
 )
 from .eventlog import read_event_log, write_event_log, write_metadata
-from .metrics import TestKind, delta_estimate, weekend_ratio_gamma
+from .metrics import TestKind, delta_estimate, delta_from_samples, metric_table
 from .power import compare_policies
 from .simulate import EffectKind, EffectSpec, Seed, inject_effect, simulate_model1, simulate_model2
 
@@ -283,8 +282,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     traces, report = _load_traces(args, calendar, require_variant=True)
     results = []
     for policy in policies:
-        res = delta_estimate(traces, policy, calendar, test)
-        gamma = weekend_ratio_gamma(traces, policy, calendar)
+        table = metric_table(traces, policy, calendar)
+        res = delta_from_samples(table.arm_values(1), table.arm_values(0), policy, test)
         results.append(
             {
                 "policy": policy.label,
@@ -296,7 +295,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "n_included": res.n_treatment + res.n_control,
                 "statistic": res.statistic,
                 "p_value": res.p_value,
-                "gamma": gamma,
+                "gamma": table.gamma(),
             }
         )
     if args.format == "csv":
@@ -405,20 +404,13 @@ def _analytic_model1_rows(args: argparse.Namespace, calendar: ExperimentCalendar
     rows = []
     for policy in policies:
         for p in grid:
-            bias = eta = zeta = None
-            source = "closed-form"
-            try:
-                bias = model1_bias(policy, p, 1.0, calendar, args.d)
-                eta, zeta = model1_variance_coeffs(policy, p, calendar, args.d, args.n_per_arm)
-            except ClosedFormUnavailable:
-                source = "oracle-only"
+            bias = model1_bias(policy, p, 1.0, calendar, args.d)
+            eta, zeta = model1_variance_coeffs(policy, p, calendar, args.d, args.n_per_arm)
             oracle_bias = None
             if use_oracle:
                 oracle_bias = enumeration_oracle(calendar, policy, p).ratio - WEEKEND_SHARE
-            rows.append(
-                ["model1", policy.label, p, bias, eta, zeta, oracle_bias, source]
-            )
-    return ["model", "policy", "p", "bias_per_tau_prime", "eta", "zeta", "oracle_bias", "source"], rows
+            rows.append(["model1", policy.label, p, bias, eta, zeta, oracle_bias])
+    return ["model", "policy", "p", "bias_per_tau_prime", "eta", "zeta", "oracle_bias"], rows
 
 
 def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar, d: int) -> float:
@@ -432,19 +424,14 @@ def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar,
 def _analytic_model2_rows(args: argparse.Namespace, calendar: ExperimentCalendar, policies):
     rows = []
     for policy in policies:
-        bias = eta = zeta = pipeline_bias = None
-        source = "closed-form"
-        try:
-            bias = model2_bias(policy, calendar, args.d)
-            eta, zeta = model2_variance_coeffs(policy, calendar, args.d, args.ns)
-        except ClosedFormUnavailable:
-            source = "oracle-only"
+        bias = model2_bias(policy, calendar, args.d)
+        eta, zeta = model2_variance_coeffs(policy, calendar, args.d, args.ns)
         try:
             pipeline_bias = _model2_pipeline_bias(policy, calendar, args.d)
         except ExperimentError:
             pipeline_bias = None
-        rows.append(["model2", policy.label, calendar.k, bias, eta, zeta, pipeline_bias, source])
-    return ["model", "policy", "k", "bias_per_tau_prime", "eta", "zeta", "oracle_bias", "source"], rows
+        rows.append(["model2", policy.label, calendar.k, bias, eta, zeta, pipeline_bias])
+    return ["model", "policy", "k", "bias_per_tau_prime", "eta", "zeta", "oracle_bias"], rows
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DataFormatError,
     ExperimentCalendar,
     InclusionPolicy,
     InsufficientDataError,
@@ -79,6 +80,18 @@ class MetricTable:
     values: np.ndarray
     weekend_share: np.ndarray
 
+    def arm_values(self, code: int) -> np.ndarray:
+        """Metric values of the included users of one arm (1 treatment, 0 control)."""
+        return self.values[(self.variants == code) & self.included]
+
+    def gamma(self) -> float:
+        """Mean weekend share over included users; see ``weekend_ratio_gamma``."""
+        shares = self.weekend_share[self.included]
+        if shares.size == 0:
+            raise InsufficientDataError("no users admitted under the policy")
+        # A running sum in user order, not numpy's pairwise sum.
+        return float(np.cumsum(shares)[-1]) / shares.size
+
 
 def metric_table(
     traces: TraceTable, policy: InclusionPolicy, calendar: ExperimentCalendar
@@ -96,8 +109,14 @@ def metric_table(
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
     total = np.zeros(len(traces))
-    for day in range(calendar.k):
-        total += np.where(window[:, day], traces.values[:, day], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for day in range(calendar.k):
+            total += np.where(window[:, day], traces.values[:, day], 0.0)
+    overflowed = np.flatnonzero(~np.isfinite(total))
+    if overflowed.size:
+        raise DataFormatError(
+            f"user {traces.user_ids[overflowed[0]]}: analysed values sum to a non-finite value"
+        )
     active_days = window.sum(axis=1)
     weekend_days = (window & calendar.weekend_mask()).sum(axis=1)
     values = np.full(len(traces), np.nan)
@@ -121,9 +140,7 @@ def group_summary(
 ) -> GroupSummary:
     """Summarize the per-user metric for one arm under one inclusion policy."""
     table = metric_table(traces, policy, calendar)
-    code = 1 if variant is Variant.TREATMENT else 0
-    vals = table.values[(table.variants == code) & table.included]
-    return summarize_values(vals)
+    return summarize_values(table.arm_values(1 if variant is Variant.TREATMENT else 0))
 
 
 def summarize_values(values: np.ndarray) -> GroupSummary:
@@ -147,10 +164,13 @@ def delta_from_samples(
         raise InsufficientDataError(f"treatment group has {n_t} included users; need >= 2")
     if n_c < 2:
         raise InsufficientDataError(f"control group has {n_c} included users; need >= 2")
-    delta = float(treatment.mean() - control.mean())
-    vt = float(treatment.var(ddof=1))
-    vc = float(control.var(ddof=1))
-    variance = vt / n_t + vc / n_c
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = float(treatment.mean() - control.mean())
+        vt = float(treatment.var(ddof=1))
+        vc = float(control.var(ddof=1))
+        variance = vt / n_t + vc / n_c
+    if not (math.isfinite(delta) and math.isfinite(variance)):
+        raise DataFormatError("per-user metrics too large: the delta or its variance overflows")
     statistic, p_value = _two_sided_test(delta, variance, vt, n_t, vc, n_c, test)
     return AnalysisResult(
         policy=policy,
@@ -195,9 +215,7 @@ def delta_estimate(
     p-value (normal approximation by default, Welch t on request).
     """
     table = metric_table(traces, policy, calendar)
-    treatment = table.values[(table.variants == 1) & table.included]
-    control = table.values[(table.variants == 0) & table.included]
-    return delta_from_samples(treatment, control, policy, test)
+    return delta_from_samples(table.arm_values(1), table.arm_values(0), policy, test)
 
 
 def weekend_ratio_gamma(
@@ -209,9 +227,4 @@ def weekend_ratio_gamma(
     gamma * x, so this is the scale factor that converts a weekend effect
     into an average effect over the analyzed sample.
     """
-    table = metric_table(traces, policy, calendar)
-    shares = table.weekend_share[table.included]
-    if shares.size == 0:
-        raise InsufficientDataError("no users admitted under the policy")
-    # A running sum in user order, not numpy's pairwise sum.
-    return float(np.cumsum(shares)[-1]) / shares.size
+    return metric_table(traces, policy, calendar).gamma()

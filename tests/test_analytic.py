@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from openbounded import (
     OPEN,
-    ClosedFormUnavailable,
     ConfigurationError,
     ExperimentCalendar,
     Model2Params,
+    Seed,
     Weekday,
     bounded,
+    delta_estimate,
     enumeration_oracle,
     model1_bias,
     model1_cohort_size,
@@ -19,7 +20,7 @@ from openbounded import (
     model2_report,
     model2_variance,
     model2_variance_coeffs,
-    open_cohort_weekend_shares,
+    simulate_model2,
     toy_even_day_ratio,
 )
 from openbounded.analytic import (
@@ -70,15 +71,30 @@ class TestModel1Bias:
             two = model1_bias(BOUNDED7, p, tau_prime=2.0)
             assert two == pytest.approx(2.0 * one, rel=1e-12)
 
-    def test_unsupported_regime_routed_to_oracle(self):
-        with pytest.raises(ClosedFormUnavailable):
-            model1_bias(OPEN, 0.5, calendar=ExperimentCalendar(10))
-        with pytest.raises(ClosedFormUnavailable):
-            model1_bias(bounded(6), 0.5)
-        with pytest.raises(ClosedFormUnavailable):
-            model1_bias(
-                BOUNDED7, 0.5, calendar=ExperimentCalendar(14, Weekday.TUESDAY)
+    def test_any_calendar_matches_oracle(self):
+        cases = [
+            (OPEN, ExperimentCalendar(10)),
+            (bounded(6), ExperimentCalendar(14)),
+            (BOUNDED7, ExperimentCalendar(14, Weekday.TUESDAY)),
+        ]
+        for policy, cal in cases:
+            oracle = enumeration_oracle(cal, policy, 0.5)
+            assert model1_bias(policy, 0.5, calendar=cal) == pytest.approx(
+                oracle.ratio - WEEKEND_SHARE, abs=1e-12
             )
+
+    def test_open_bias_is_calendar_offset(self):
+        # Days 1..10 from a Monday hold one weekend: share 2/10, not 2/7.
+        for p in (0.1, 0.5, 1.0):
+            bias = model1_bias(OPEN, p, calendar=ExperimentCalendar(10))
+            assert bias == pytest.approx(0.2 - WEEKEND_SHARE, abs=1e-12)
+
+    def test_window_must_admit_a_cohort(self):
+        for d in (14, 20):
+            with pytest.raises(ConfigurationError):
+                model1_bias(bounded(d), 0.5)
+            with pytest.raises(ConfigurationError):
+                model1_variance_coeffs(bounded(d), 0.5)
 
     def test_conflicting_window_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -140,14 +156,36 @@ class TestModel2:
         assert b14 > b28 > b56 > 0.0
 
     def test_cohort_share_sum(self, monday14):
-        total = sum(open_cohort_weekend_shares(monday14))
+        # The 14 arrival cohorts' weekend shares sum to about 6.7.
+        total = (model2_bias(OPEN, monday14) + WEEKEND_SHARE) * 14
         assert round(total, 1) == 6.7
 
-    def test_bounded_requires_week_window(self):
-        with pytest.raises(ClosedFormUnavailable):
-            model2_bias(bounded(6))
-        with pytest.raises(ClosedFormUnavailable):
-            model2_variance_coeffs(bounded(10))
+    def test_any_window_matches_noiseless_simulation(self):
+        # With sigma=0 and tau'=1 each treatment user's metric is its window's
+        # weekend share and every control metric is 0, so the estimate's bias
+        # and sample variance are exact.
+        cases = [
+            (14, Weekday.THURSDAY, bounded(5)),
+            (28, Weekday.MONDAY, bounded(10)),
+            (17, Weekday.SATURDAY, bounded(3)),
+            (20, Weekday.SUNDAY, bounded(7)),
+            (14, Weekday.THURSDAY, OPEN),
+        ]
+        for k, start, policy in cases:
+            cal = ExperimentCalendar(k, start)
+            params = Model2Params(ns=1, tau_prime=1.0, sigma=0.0, calendar=cal, d=policy.d or 7)
+            res = delta_estimate(simulate_model2(params, Seed(0)), policy, cal)
+            n = res.n_treatment
+            assert model2_bias(policy, cal) == pytest.approx(res.delta - WEEKEND_SHARE, abs=1e-12)
+            _, zeta = model2_variance_coeffs(policy, cal)
+            assert zeta == pytest.approx(res.variance * (n - 1) / n, abs=1e-12)
+
+    def test_bounded_window_must_admit_a_cohort(self, monday14):
+        for d in (14, 20):
+            with pytest.raises(ConfigurationError):
+                model2_bias(bounded(d), monday14)
+            with pytest.raises(ConfigurationError):
+                model2_variance_coeffs(bounded(d), monday14)
 
     def test_variance_constants_match_tabulated(self):
         eta_b, zeta_b = model2_variance_coeffs(BOUNDED7, ns=1)
@@ -241,6 +279,34 @@ class TestEnumerationOracle:
         oracle = enumeration_oracle(cal, BOUNDED7, p)
         assert oracle.ratio - WEEKEND_SHARE == pytest.approx(
             model1_bias(BOUNDED7, p, calendar=cal), abs=1e-9
+        )
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sampled_from(list(Weekday)),
+                st.integers(min_value=1, max_value=k - 1),
+                st.booleans(),
+                st.floats(min_value=0.02, max_value=1.0, exclude_min=True),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_forms_match_oracle_on_random_calendars(self, case):
+        k, start, d, is_open, p = case
+        cal = ExperimentCalendar(k, start)
+        policy = OPEN if is_open else bounded(d)
+        oracle = enumeration_oracle(cal, policy, p)
+        assert model1_bias(policy, p, calendar=cal) == pytest.approx(
+            oracle.ratio - WEEKEND_SHARE, abs=1e-12
+        )
+        eta, zeta = model1_variance_coeffs(policy, p, calendar=cal)
+        admitted = oracle.admission_probability
+        # eta grows like 1 / admitted, so it is compared relatively.
+        assert eta == pytest.approx(2.0 * oracle.inverse_days / admitted, rel=1e-12)
+        assert zeta == pytest.approx(
+            (oracle.ratio_sq - oracle.ratio**2) / admitted, abs=1e-12
         )
 
     @given(st.floats(min_value=0.02, max_value=0.98))

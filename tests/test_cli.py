@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -156,6 +157,26 @@ class TestAnalyzeCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "t0" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "power"])
+    @pytest.mark.parametrize("treatment", [
+        [("t0", 1, 1e308), ("t0", 2, 1e308), ("t1", 1, 1.0), ("t2", 1, 1.0)],
+        [("t0", 1, 1e308), ("t1", 1, 1e308), ("t2", 1, 1e308)],
+    ], ids=["user-sum", "arm-mean"])
+    def test_aggregate_overflow_exit_data(self, tmp_path, capsys, command, treatment):
+        # Every row and every user-day is finite; a user's or an arm's sum is not.
+        rows = [{"user_id": u, "day": day, "variant": "T", "value": v} for u, day, v in treatment]
+        rows += [{"user_id": f"c{i}", "day": 2, "variant": "C", "value": 1.0} for i in (1, 2)]
+        path = tmp_path / "huge.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = ["-i", str(path)]
+        if command == "power":
+            argv += ["--fractions", "1.0", "--reps", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_exit_data(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "analyze", "-i", str(tmp_path / "nope.jsonl"))
         assert code == 2
@@ -247,7 +268,6 @@ class TestAnalyticCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 6
         for row in rows:
-            assert row["source"] == "closed-form"
             closed, oracle = float(row["bias_per_tau_prime"]), float(row["oracle_bias"])
             assert abs(closed - oracle) <= 1e-9
             if row["policy"] == "open":
@@ -265,16 +285,45 @@ class TestAnalyticCommand:
         for row in rows.values():
             assert abs(float(row["oracle_bias"]) - float(row["bias_per_tau_prime"])) <= 1e-9
 
-    def test_unsupported_regime_marked_oracle_only(self, capsys):
+    def test_any_calendar_has_closed_form(self, capsys):
         code, out, _ = run_cli(
             capsys, "analytic", "--model", "model1", "--k", "10", "--p-grid", "0.5",
         )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["policy"] for row in rows} == {"open", "bounded"}
         for row in rows:
-            assert row["source"] == "oracle-only"
-            assert row["bias_per_tau_prime"] == ""
-            assert row["oracle_bias"] != ""
+            closed, oracle = float(row["bias_per_tau_prime"]), float(row["oracle_bias"])
+            assert abs(closed - oracle) <= 1e-12
+            assert float(row["eta"]) > 0.0 and float(row["zeta"]) >= 0.0
+
+    def test_beyond_oracle_range_still_finite(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analytic", "--model", "model1", "--k", "28", "--p-grid", "0.2,0.8",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["oracle_bias"] == ""
+            for column in ("bias_per_tau_prime", "eta", "zeta"):
+                assert math.isfinite(float(row[column]))
+
+    def test_model2_bounded_any_window(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analytic", "--model", "model2", "--d", "5", "--start-dow", "thu",
+        )
+        assert code == 0
+        rows = {r["policy"]: r for r in csv.DictReader(io.StringIO(out))}
+        bounded_row = rows["bounded"]
+        assert abs(float(bounded_row["bias_per_tau_prime"]) - float(bounded_row["oracle_bias"])) <= 1e-12
+        assert float(bounded_row["zeta"]) > 0.0
+
+    @pytest.mark.parametrize("model,d", [("model1", "14"), ("model1", "20"), ("model2", "14")])
+    def test_window_admitting_no_cohort_exit_usage(self, capsys, model, d):
+        code, out, err = run_cli(capsys, "analytic", "--model", model, "--d", d)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -24,9 +24,9 @@ GOLDEN = {
     "power.csv":
         "20301b761a6eb314bb5a84c6b0ec6ccdae890e1a48665b39df73e34f830475b8",
     "table.csv":
-        "7f4083f6d11564bd1ef5107d50651c20d10ea8b82a274d982f182c54fd6e437b",
+        "592d46a470d4c38111f8bf54849ac22f9eecd92108826a03f5ee093efd69381d",
     "model2.csv":
-        "e469528585769c570ddfe0b247c0eaf649f167247a318624865bcb95fb4a2697",
+        "a1da614e46ec486129609ccfe1c73309c8499f374c38c79f52cf99cdb0273835",
     "inject.json":
         "f4db7541f88b3d0a71740bcdf73fcfbec93643b8df4aa04952721a8c22712807",
 }
