@@ -35,7 +35,6 @@ from .core import (
     ConfigurationError,
     DataFormatError,
     ExperimentCalendar,
-    ExperimentError,
     InclusionPolicy,
     InsufficientDataError,
     Weekday,
@@ -361,13 +360,14 @@ def cmd_power(args: argparse.Namespace) -> int:
         repetitions=args.reps, alpha=args.alpha, seed=seed, test=test, policies=policies,
     )
     header = [
-        "policy", "fraction", "power", "est_p05", "est_p50", "est_p95",
+        "policy", "fraction", "power", "power_se", "est_p05", "est_p50", "est_p95",
         "n_effective_treatment", "n_effective_control", "degenerate_repetitions",
     ]
     curve_rows = [
         [
             [
-                curve.policy.label, pt.fraction, pt.power, pt.est_p05, pt.est_p50, pt.est_p95,
+                curve.policy.label, pt.fraction, pt.power, pt.power_se,
+                pt.est_p05, pt.est_p50, pt.est_p95,
                 pt.n_effective_treatment, pt.n_effective_control, pt.degenerate_repetitions,
             ]
             for pt in curve.points
@@ -413,9 +413,12 @@ def _analytic_model1_rows(args: argparse.Namespace, calendar: ExperimentCalendar
     return ["model", "policy", "p", "bias_per_tau_prime", "eta", "zeta", "oracle_bias"], rows
 
 
-def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar, d: int) -> float:
-    """Independent check: run the noiseless simulator through the estimator."""
-    params = Model2Params(ns=1, tau=0.0, tau_prime=1.0, sigma=0.0, calendar=calendar, d=d)
+def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar) -> float:
+    """Independent check: run the noiseless simulator through the estimator.
+
+    The simulator does not read ``d``; the policy carries the bounded window.
+    """
+    params = Model2Params(ns=1, tau=0.0, tau_prime=1.0, sigma=0.0, calendar=calendar, d=calendar.k)
     traces = simulate_model2(params, Seed(0))
     res = delta_estimate(traces, policy, calendar, TestKind.Z)
     return res.delta - WEEKEND_SHARE
@@ -427,8 +430,9 @@ def _analytic_model2_rows(args: argparse.Namespace, calendar: ExperimentCalendar
         bias = model2_bias(policy, calendar, args.d)
         eta, zeta = model2_variance_coeffs(policy, calendar, args.d, args.ns)
         try:
-            pipeline_bias = _model2_pipeline_bias(policy, calendar, args.d)
-        except ExperimentError:
+            pipeline_bias = _model2_pipeline_bias(policy, calendar)
+        except InsufficientDataError:
+            # The check runs at ns=1: a window admitting one cohort leaves one user per arm.
             pipeline_bias = None
         rows.append(["model2", policy.label, calendar.k, bias, eta, zeta, pipeline_bias])
     return ["model", "policy", "k", "bias_per_tau_prime", "eta", "zeta", "oracle_bias"], rows

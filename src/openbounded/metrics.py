@@ -169,8 +169,7 @@ def delta_from_samples(
         vt = float(treatment.var(ddof=1))
         vc = float(control.var(ddof=1))
         variance = vt / n_t + vc / n_c
-    if not (math.isfinite(delta) and math.isfinite(variance)):
-        raise DataFormatError("per-user metrics too large: the delta or its variance overflows")
+    _require_finite(delta, variance)
     statistic, p_value = _two_sided_test(delta, variance, vt, n_t, vc, n_c, test)
     return AnalysisResult(
         policy=policy,
@@ -181,6 +180,12 @@ def delta_from_samples(
         statistic=statistic,
         p_value=p_value,
     )
+
+
+def _require_finite(delta, variance) -> None:
+    """Reject a delta or variance (scalar or array) that overflowed."""
+    if not (np.isfinite(delta).all() and np.isfinite(variance).all()):
+        raise DataFormatError("per-user metrics too large: the delta or its variance overflows")
 
 
 def _two_sided_test(

@@ -1,11 +1,15 @@
 """Detection-power and point-estimate curves over user subsample sweeps.
 
-For each sample fraction, users are drawn uniformly without replacement from
-the full pool, the delta estimate and its p-value are recorded, and the
-process repeats; power is the share of repetitions reaching significance.
-Per-repetition subsample seeds are pure functions of (seed, fraction,
-repetition), so curves are reproducible and policies can be compared on
-identical subsamples.
+Each repetition draws one uniform rank permutation of the user pool; the
+subsample at fraction f is the ceil(f * n) users ranked lowest, so it is
+uniform without replacement, and within one repetition every fraction's
+subsample lies inside the next one. Points of one repetition are therefore
+nested and correlated; repetitions are independent. For each repetition the
+delta estimate and its p-value are recorded at every fraction, and power is
+the share of repetitions reaching significance. The permutation of
+repetition r is a pure function of (seed, r), so curves are reproducible and
+policies are compared on identical subsamples. Fraction 1.0 admits a single
+subset and is analysed once.
 """
 
 from __future__ import annotations
@@ -25,16 +29,33 @@ from .core import (
     TraceTable,
     bounded,
 )
-from .metrics import MetricTable, TestKind, delta_from_samples, metric_table
+from .metrics import (
+    MetricTable,
+    TestKind,
+    _require_finite,
+    _two_sided_test,
+    delta_from_samples,
+    metric_table,
+)
 from .simulate import Seed
+
+# First index of every subsample stream. ``Seed.generator()`` (the
+# simulators' stream) and ``Seed.generator(0)`` are the same stream, so
+# repetition r draws from ``generator(_SUBSAMPLE_STREAM, r)`` instead.
+_SUBSAMPLE_STREAM = 1
 
 
 @dataclass(frozen=True)
 class PowerCurvePoint:
-    """One sample fraction: rejection rate, delta percentile band, mean group sizes."""
+    """One sample fraction: rejection rate, delta percentile band, mean group sizes.
+
+    ``power_se`` is the Monte-Carlo standard error of ``power`` over the
+    point's repetitions, ``sqrt(power * (1 - power) / R)``.
+    """
 
     fraction: float
     power: float
+    power_se: float
     est_p05: float
     est_p50: float
     est_p95: float
@@ -63,60 +84,145 @@ def _validate_fractions(fractions: Sequence[float]) -> list[float]:
     return out
 
 
-def _fraction_key(fraction: float) -> int:
-    return int(round(fraction * 10**9))
-
-
-@dataclass
-class _PointAccumulator:
-    significant: int = 0
-    degenerate: int = 0
-
-    def __post_init__(self) -> None:
-        self.deltas: list[float] = []
-        self.n_treatment: list[int] = []
-        self.n_control: list[int] = []
-
-    def finish(self, fraction: float, repetitions: int) -> PowerCurvePoint:
-        if self.deltas:
-            p05, p50, p95 = np.percentile(self.deltas, [5.0, 50.0, 95.0])
-        else:
-            p05 = p50 = p95 = math.nan
-        return PowerCurvePoint(
-            fraction=fraction,
-            power=self.significant / repetitions,
-            est_p05=float(p05),
-            est_p50=float(p50),
-            est_p95=float(p95),
-            n_effective_treatment=float(np.mean(self.n_treatment)) if self.n_treatment else 0.0,
-            n_effective_control=float(np.mean(self.n_control)) if self.n_control else 0.0,
-            degenerate_repetitions=self.degenerate,
-        )
-
-
-def _analyze_subset(
-    table: MetricTable,
-    idx: np.ndarray,
-    policy: InclusionPolicy,
+def _point(
+    fraction: float,
+    deltas: np.ndarray,
+    p_values: np.ndarray,
+    n_treatment: np.ndarray,
+    n_control: np.ndarray,
     alpha: float,
-    test: TestKind,
-    acc: _PointAccumulator,
-) -> None:
-    variants = table.variants[idx]
-    included = table.included[idx]
-    values = table.values[idx]
-    treatment = values[(variants == 1) & included]
-    control = values[(variants == 0) & included]
-    acc.n_treatment.append(int(treatment.size))
-    acc.n_control.append(int(control.size))
+) -> PowerCurvePoint:
+    """Summarize one fraction's repetitions; a NaN delta marks a degenerate one."""
+    repetitions = deltas.size
+    valid = ~np.isnan(deltas)
+    if valid.any():
+        p05, p50, p95 = np.percentile(deltas[valid], [5.0, 50.0, 95.0])
+    else:
+        p05 = p50 = p95 = math.nan
+    power = int((p_values[valid] < alpha).sum()) / repetitions
+    return PowerCurvePoint(
+        fraction=fraction,
+        power=power,
+        power_se=math.sqrt(power * (1.0 - power) / repetitions),
+        est_p05=float(p05),
+        est_p50=float(p50),
+        est_p95=float(p95),
+        n_effective_treatment=float(np.mean(n_treatment)),
+        n_effective_control=float(np.mean(n_control)),
+        degenerate_repetitions=int(repetitions - valid.sum()),
+    )
+
+
+def _full_sample_point(
+    table: MetricTable, policy: InclusionPolicy, alpha: float, test: TestKind
+) -> PowerCurvePoint:
+    treatment, control = table.arm_values(1), table.arm_values(0)
     try:
         result = delta_from_samples(treatment, control, policy, test)
+        delta, p_value = result.delta, result.p_value
     except InsufficientDataError:
-        acc.degenerate += 1
-        return
-    acc.deltas.append(result.delta)
-    if result.p_value < alpha:
-        acc.significant += 1
+        delta = p_value = math.nan
+    return _point(
+        1.0, np.array([delta]), np.array([p_value]),
+        np.array([treatment.size]), np.array([control.size]), alpha,
+    )
+
+
+def _rank_buckets(n_users: int, fractions: Sequence[float]) -> np.ndarray:
+    """Bucket of each rank: the index of the smallest fraction whose subsample holds it.
+
+    Ranks beyond the largest subsample get ``len(fractions)``.
+    """
+    sizes = [math.ceil(f * n_users) for f in fractions]
+    return np.searchsorted(sizes, np.arange(n_users), side="right")
+
+
+def _repetition_buckets(seed: Seed, repetition: int, rank_buckets: np.ndarray) -> np.ndarray:
+    """Each user's bucket in one repetition.
+
+    Shuffling the rank->bucket map gives each user the bucket of a uniform
+    random rank, so the users in buckets ``0..j`` are fraction j's subsample.
+    """
+    return seed.generator(_SUBSAMPLE_STREAM, repetition).permutation(rank_buckets)
+
+
+def _arm_members(table: MetricTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row index, arm (0 control, 1 treatment) and metric of every included assigned user."""
+    users = np.flatnonzero(table.included & (table.variants >= 0))
+    return users, table.variants[users].astype(np.intp), table.values[users]
+
+
+def _repetition_moments(
+    members: tuple[np.ndarray, np.ndarray, np.ndarray], buckets: np.ndarray, n_fractions: int
+) -> np.ndarray:
+    """Count, mean and centred M2 per (bucket, arm), stacked to ``(3, n_fractions, 2)``.
+
+    M2 is the sum of squared deviations from the bucket's own mean. Users
+    beyond the largest subsample fall in bucket ``n_fractions`` and are dropped.
+    """
+    users, arms, values = members
+    keys = 2 * buckets[users] + arms
+    n_keys = 2 * (n_fractions + 1)
+    count = np.bincount(keys, minlength=n_keys)
+    mean = np.divide(
+        np.bincount(keys, weights=values, minlength=n_keys), count,
+        out=np.zeros(n_keys), where=count > 0,
+    )
+    deviation = values - mean[keys]
+    m2 = np.bincount(keys, weights=deviation * deviation, minlength=n_keys)
+    return np.stack((count, mean, m2)).reshape(3, -1, 2)[:, :n_fractions]
+
+
+def _merge_cumulative(
+    count: np.ndarray, mean: np.ndarray, m2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool buckets ``0..j`` along axis 1, for every j.
+
+    Uses the pairwise update of Chan, Golub and LeVeque (1983) on centred
+    moments, so no raw sum of squares is formed. The last product is ordered
+    so that an empty side contributes exactly zero.
+    """
+    n_acc, mean_acc, m2_acc = count.astype(float), mean.copy(), m2.copy()
+    for j in range(1, count.shape[1]):
+        n_a, n_b = n_acc[:, j - 1], n_acc[:, j]
+        n = n_a + n_b
+        d = mean[:, j] - mean_acc[:, j - 1]
+        share = np.divide(n_b, n, out=np.zeros_like(n), where=n > 0)
+        n_acc[:, j] = n
+        mean_acc[:, j] = mean_acc[:, j - 1] + d * share
+        m2_acc[:, j] = m2_acc[:, j - 1] + m2[:, j] + d * share * n_a * d
+    return n_acc, mean_acc, m2_acc
+
+
+def _subsample_tests(
+    moments: np.ndarray, test: TestKind
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group sizes, delta, variance and p-value at every (repetition, fraction).
+
+    ``moments`` stacks each repetition's ``_repetition_moments`` to shape
+    ``(repetitions, 3, fractions, 2)``; its last axis, like that of the
+    returned group sizes, is (control, treatment). The rules are those of
+    ``delta_from_samples``: a subsample leaving an arm below two users is
+    degenerate (NaN delta, variance and p-value), and a delta or variance
+    that overflows is a data error.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n, mu, m2 = _merge_cumulative(*np.moveaxis(moments, 1, 0))
+        n_c, n_t = n[..., 0], n[..., 1]
+        ok = (n_t >= 2) & (n_c >= 2)
+        vt = np.where(ok, m2[..., 1] / (n_t - 1), np.nan)
+        vc = np.where(ok, m2[..., 0] / (n_c - 1), np.nan)
+        deltas = np.where(ok, mu[..., 1] - mu[..., 0], np.nan)
+        variances = vt / n_t + vc / n_c
+    _require_finite(deltas[ok], variances[ok])
+    p_values = np.full(ok.shape, np.nan)
+    columns = [a.tolist() for a in (deltas, variances, vt, n_t, vc, n_c)]
+    for r, j in np.argwhere(ok).tolist():
+        delta, variance, v_t, size_t, v_c, size_c = (c[r][j] for c in columns)
+        p_values[r, j] = _two_sided_test(
+            delta, variance, v_t, int(size_t), v_c, int(size_c), test
+        )[1]
+    return n, deltas, variances, p_values
 
 
 def _sweep(
@@ -129,31 +235,29 @@ def _sweep(
     seed: Seed,
     test: TestKind,
 ) -> list[PowerCurve]:
-    all_points: list[list[PowerCurvePoint]] = [[] for _ in policies]
-    full_index = np.arange(n_users)
-    for fraction in fractions:
-        accs = [_PointAccumulator() for _ in policies]
-        if fraction == 1.0:
-            # The full sample admits exactly one subset; a single
-            # deterministic repetition is the whole distribution.
-            reps = 1
-            for table, policy, acc in zip(tables, policies, accs):
-                _analyze_subset(table, full_index, policy, alpha, test, acc)
-        else:
-            reps = repetitions
-            size = math.ceil(fraction * n_users)
-            fkey = _fraction_key(fraction)
+    subsampled = [f for f in fractions if f < 1.0]
+    members = [_arm_members(table) for table in tables]
+    moments = np.empty((len(tables), repetitions, 3, len(subsampled), 2))
+    if subsampled:
+        rank_buckets = _rank_buckets(n_users, subsampled)
+        with np.errstate(over="ignore", invalid="ignore"):
             for r in range(repetitions):
-                rng = seed.generator(fkey, r)
-                idx = rng.choice(n_users, size=size, replace=False)
-                for table, policy, acc in zip(tables, policies, accs):
-                    _analyze_subset(table, idx, policy, alpha, test, acc)
-        for points, acc in zip(all_points, accs):
-            points.append(acc.finish(fraction, reps))
-    return [
-        PowerCurve(policy=policy, points=tuple(points), repetitions=repetitions, alpha=alpha)
-        for policy, points in zip(policies, all_points)
-    ]
+                buckets = _repetition_buckets(seed, r, rank_buckets)
+                for i, member in enumerate(members):
+                    moments[i, r] = _repetition_moments(member, buckets, len(subsampled))
+    curves = []
+    for table, policy, policy_moments in zip(tables, policies, moments):
+        n, deltas, _, p_values = _subsample_tests(policy_moments, test)
+        points = [
+            _point(f, deltas[:, j], p_values[:, j], n[:, j, 1], n[:, j, 0], alpha)
+            for j, f in enumerate(subsampled)
+        ]
+        if fractions[-1] == 1.0:
+            points.append(_full_sample_point(table, policy, alpha, test))
+        curves.append(
+            PowerCurve(policy=policy, points=tuple(points), repetitions=repetitions, alpha=alpha)
+        )
+    return curves
 
 
 def power_curve(
@@ -173,11 +277,9 @@ def power_curve(
     A repetition whose subsample leaves an arm below two included users is
     counted as non-significant with no delta. Fraction 1.0 is computed once.
     """
-    fracs = _validate_fractions(fractions)
-    if repetitions < 2:
-        raise ConfigurationError(f"repetitions must be >= 2, got {repetitions}")
-    table = metric_table(traces, policy, calendar)
-    return _sweep([table], [policy], len(traces), fracs, repetitions, alpha, seed, test)[0]
+    return compare_policies(
+        traces, calendar, fractions, repetitions, alpha, seed, test, policies=(policy,)
+    )[0]
 
 
 def compare_policies(

@@ -157,13 +157,16 @@ class TestAnalyzeCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "t0" in err
 
-    @pytest.mark.parametrize("command", ["analyze", "power"])
+    @pytest.mark.parametrize("command", ["analyze", "power", "power-sweep"])
     @pytest.mark.parametrize("treatment", [
         [("t0", 1, 1e308), ("t0", 2, 1e308), ("t1", 1, 1.0), ("t2", 1, 1.0)],
         [("t0", 1, 1e308), ("t1", 1, 1e308), ("t2", 1, 1e308)],
     ], ids=["user-sum", "arm-mean"])
     def test_aggregate_overflow_exit_data(self, tmp_path, capsys, command, treatment):
         # Every row and every user-day is finite; a user's or an arm's sum is not.
+        # "power-sweep" reaches the arm sums only through subsamples: at 0.9
+        # all five users are drawn, and of three huge treatment users two
+        # share one of the two buckets, so that bucket's sum overflows.
         rows = [{"user_id": u, "day": day, "variant": "T", "value": v} for u, day, v in treatment]
         rows += [{"user_id": f"c{i}", "day": 2, "variant": "C", "value": 1.0} for i in (1, 2)]
         path = tmp_path / "huge.jsonl"
@@ -171,6 +174,9 @@ class TestAnalyzeCommand:
         argv = ["-i", str(path)]
         if command == "power":
             argv += ["--fractions", "1.0", "--reps", "2"]
+        if command == "power-sweep":
+            command = "power"
+            argv += ["--fractions", "0.5,0.9", "--reps", "20"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, command, *argv)
@@ -219,7 +225,9 @@ class TestPowerCommand:
             capsys, "power", "-i", str(log), "--fractions", "0.5,1.0", "--seed", "5",
         )
         assert code == 0
-        assert all(c["repetitions"] == 500 for c in json.loads(out)["curves"])
+        curves = json.loads(out)["curves"]
+        assert all(c["repetitions"] == 500 for c in curves)
+        assert all(c["points"][-1]["power_se"] == 0.0 for c in curves)
 
     def test_injection_into_variantless_log(self, tmp_path, capsys):
         log = tmp_path / "raw.jsonl"
@@ -251,6 +259,10 @@ class TestPowerCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
         assert {row["fraction"] for row in rows} == {"0.5", "1.0"}
+        for row in rows:
+            reps = 20 if row["fraction"] == "0.5" else 1
+            power = float(row["power"])
+            assert float(row["power_se"]) == math.sqrt(power * (1.0 - power) / reps)
 
     def test_input_and_model_conflict(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -324,6 +336,25 @@ class TestAnalyticCommand:
         code, out, err = run_cli(capsys, "analytic", "--model", model, "--d", d)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_model2_open_check_ignores_bounded_d(self, capsys):
+        # Open has no observation length; a --d beyond k must not blank its check.
+        code, out, _ = run_cli(
+            capsys, "analytic", "--model", "model2", "--policy", "open", "--d", "20",
+        )
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert float(row["oracle_bias"]) == pytest.approx(float(row["bias_per_tau_prime"]), abs=1e-12)
+
+    def test_model2_single_cohort_window_has_no_check(self, capsys):
+        # bounded(13) over 14 days admits one arrival cohort: one user per arm at ns=1.
+        code, out, _ = run_cli(
+            capsys, "analytic", "--model", "model2", "--policy", "bounded", "--d", "13",
+            "--ns", "1",
+        )
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["oracle_bias"] == "" and math.isfinite(float(row["bias_per_tau_prime"]))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -22,13 +22,13 @@ GOLDEN = {
     "report.json":
         "03a58cec7ca08887aaf869198f2a844fbab67c609ace2442e2c1b5416ae73cb1",
     "power.csv":
-        "20301b761a6eb314bb5a84c6b0ec6ccdae890e1a48665b39df73e34f830475b8",
+        "f8f94df3a2261f9fcc966d06b975df89bf92a814eb19618bed000b60a8da0fc3",
     "table.csv":
         "592d46a470d4c38111f8bf54849ac22f9eecd92108826a03f5ee093efd69381d",
     "model2.csv":
         "a1da614e46ec486129609ccfe1c73309c8499f374c38c79f52cf99cdb0273835",
     "inject.json":
-        "f4db7541f88b3d0a71740bcdf73fcfbec93643b8df4aa04952721a8c22712807",
+        "f31f8cbcf590a31bd71860fab51ff1457a1cd1240d8e77c430b8d950cb368d1c",
 }
 
 

@@ -1,15 +1,28 @@
+import math
+
+import numpy as np
 import pytest
 
 from openbounded import (
     OPEN,
     ConfigurationError,
+    InsufficientDataError,
     Model1Params,
     Seed,
+    TestKind,
     bounded,
     compare_policies,
     delta_estimate,
     power_curve,
     simulate_model1,
+)
+from openbounded.metrics import delta_from_samples, metric_table
+from openbounded.power import (
+    _arm_members,
+    _rank_buckets,
+    _repetition_buckets,
+    _repetition_moments,
+    _subsample_tests,
 )
 from conftest import make_table
 
@@ -40,6 +53,14 @@ class TestPowerCurve:
         assert point.est_p05 == point.est_p50 == point.est_p95 == direct.delta
         assert point.n_effective_treatment == direct.n_treatment
         assert point.power in (0.0, 1.0)
+
+    def test_power_se_is_binomial(self, monday14):
+        traces = _noisy_dataset(tau=0.1)
+        curve = power_curve(traces, OPEN, monday14, [0.5, 1.0], repetitions=80, seed=Seed(8))
+        sub, full = curve.points
+        assert 0.0 < sub.power < 1.0
+        assert sub.power_se == math.sqrt(sub.power * (1.0 - sub.power) / 80)
+        assert full.power_se == 0.0
 
     def test_percentiles_ordered(self, monday14):
         traces = _noisy_dataset()
@@ -128,3 +149,61 @@ class TestComparePolicies:
         gap_full = abs(open_curve.points[1].est_p50 - bounded_curve.points[1].est_p50)
         assert gap_full <= gap_small + 0.02
         assert gap_full < 0.1
+
+
+class TestNestedSubsamples:
+    def test_sizes_and_nesting(self):
+        fractions = [0.1, 0.25, 0.5, 0.9]
+        n = 203
+        rank_buckets = _rank_buckets(n, fractions)
+        previous = None
+        for r in range(5):
+            buckets = _repetition_buckets(Seed(3), r, rank_buckets)
+            assert not np.array_equal(buckets, previous)
+            previous = buckets
+            subsets = [set(np.flatnonzero(buckets <= j)) for j in range(len(fractions))]
+            for f, subset in zip(fractions, subsets):
+                assert len(subset) == math.ceil(f * n)
+            for inner, outer in zip(subsets, subsets[1:]):
+                assert inner < outer
+
+    def test_stream_differs_from_simulator_stream(self):
+        # Seed.generator() drives the simulators; repetition 0 must not replay it.
+        ranks = np.arange(1000)
+        seed = Seed(11)
+        assert not np.array_equal(
+            _repetition_buckets(seed, 0, ranks), seed.generator().permutation(ranks)
+        )
+
+    @pytest.mark.parametrize("test", [TestKind.Z, TestKind.WELCH])
+    @pytest.mark.parametrize("policy", [OPEN, bounded(7)], ids=["open", "bounded"])
+    def test_bucket_merge_matches_direct_estimate(self, monday14, policy, test):
+        # c=100, sigma=65 as in criterion 7, small enough that the lowest
+        # fraction leaves some arms below two users.
+        params = Model1Params(p=0.2, tau=5.0, sigma=65.0, c=100.0)
+        traces = simulate_model1(params, 150, Seed(31))
+        table = metric_table(traces, policy, monday14)
+        fractions = [0.01, 0.1, 0.3, 0.6, 0.95]
+        rank_buckets = _rank_buckets(len(traces), fractions)
+        members = _arm_members(table)
+        draws = [_repetition_buckets(Seed(32), r, rank_buckets) for r in range(6)]
+        moments = np.stack([_repetition_moments(members, b, len(fractions)) for b in draws])
+        n, deltas, variances, p_values = _subsample_tests(moments, test)
+        degenerate = 0
+        for r, buckets in enumerate(draws):
+            for j in range(len(fractions)):
+                idx = np.flatnonzero(buckets <= j)
+                included, variants = table.included[idx], table.variants[idx]
+                treatment = table.values[idx][included & (variants == 1)]
+                control = table.values[idx][included & (variants == 0)]
+                assert (n[r, j, 1], n[r, j, 0]) == (treatment.size, control.size)
+                try:
+                    direct = delta_from_samples(treatment, control, policy, test)
+                except InsufficientDataError:
+                    degenerate += 1
+                    assert np.isnan([deltas[r, j], variances[r, j], p_values[r, j]]).all()
+                    continue
+                assert deltas[r, j] == pytest.approx(direct.delta, rel=1e-9)
+                assert variances[r, j] == pytest.approx(direct.variance, rel=1e-9)
+                assert p_values[r, j] == pytest.approx(direct.p_value, rel=1e-9)
+        assert 0 < degenerate < deltas.size
