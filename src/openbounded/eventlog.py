@@ -16,25 +16,19 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
-from .core import DataFormatError, ExperimentCalendar, TraceTable, Variant
+from .core import DataFormatError, ExperimentCalendar, TraceTable
 
 SCHEMA_VERSION = 1
 
-_CSV_COLUMNS = ("user_id", "day", "variant", "value")
-_CODE = {Variant.TREATMENT: 1, Variant.CONTROL: 0, None: -1}
-_VARIANT = {code: variant for variant, code in _CODE.items()}
-
-
-@dataclass(frozen=True)
-class EventLogRecord:
-    user_id: str
-    day: int
-    value: float
-    variant: Variant | None = None
+# Rows formatted per ``write`` call by ``write_event_log``.
+WRITE_CHUNK_ROWS = 16_384
+_VARIANT_CODE = {"T": 1, "C": 0, "": -1}
+# The end of a written line, after the value, for each variant code.
+_LINE_END = {1: ',"variant":"T"}\n', 0: ',"variant":"C"}\n', -1: ',"variant":null}\n'}
 
 
 @dataclass
@@ -57,27 +51,36 @@ class IngestReport:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
 
-def record_to_json(record: EventLogRecord) -> str:
-    payload = {
-        "user_id": record.user_id,
-        "day": record.day,
-        "variant": record.variant.value if record.variant else None,
-        "value": record.value,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def write_event_log(path: str | Path, traces: TraceTable) -> int:
-    """Write traces as JSONL, one active user-day per line. Returns row count."""
-    variants = [_VARIANT[code] for code in traces.variants.tolist()]
+    """Write traces as JSONL, one active user-day per line. Returns row count.
+
+    Each line is the one ``json.dumps(row, sort_keys=True, separators=(",", ":"))``
+    gives for ``{"user_id", "day", "variant", "value"}``, built by hand: each
+    user's id and variant are formatted once, a finite float is spelled by
+    ``float.__repr__`` as ``json`` spells it, and rows are joined and written
+    ``WRITE_CHUNK_ROWS`` at a time. A non-finite value has no JSON spelling
+    and fails the write with DataFormatError before the file is opened.
+    """
     users, columns = np.nonzero(traces.present)
-    days = (columns + 1).tolist()
-    values = traces.values[users, columns].tolist()
+    values = traces.values[users, columns]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        user, column = users[bad[0]], columns[bad[0]]
+        raise DataFormatError(
+            f"user {traces.user_ids[user]}: day {column + 1} holds {values[bad[0]]}, "
+            "which JSON cannot spell"
+        )
+    heads = [f',"user_id":{json.dumps(user_id)},"value":' for user_id in traces.user_ids]
+    tails = [_LINE_END[code] for code in traces.variants.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user, day, value in zip(users.tolist(), days, values):
-            record = EventLogRecord(traces.user_ids[user], day, value, variants[user])
-            fh.write(record_to_json(record))
-            fh.write("\n")
+        for start in range(0, len(values), WRITE_CHUNK_ROWS):
+            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+            fh.write("".join([
+                f'{{"day":{column + 1}{heads[user]}{value!r}{tails[user]}'
+                for user, column, value in zip(
+                    users[chunk].tolist(), columns[chunk].tolist(), values[chunk].tolist()
+                )
+            ]))
     return len(values)
 
 
@@ -94,125 +97,137 @@ def write_metadata(log_path: str | Path, metadata: dict) -> Path:
     return target
 
 
-def _parse_variant(raw: object, report: IngestReport) -> tuple[Variant | None, bool]:
-    if raw is None or raw == "":
-        return None, True
-    if isinstance(raw, str):
-        if raw in ("T", "C"):
-            return Variant(raw), True
-    report.reject("invalid-variant")
-    return None, False
+@dataclass
+class LogColumns:
+    """The accepted rows of a log as columns, in log order.
+
+    ``row_of`` gives each user a row code in order of first acceptance and
+    ``codes[row]`` holds that user's variant code (1 treatment, 0 control,
+    -1 none seen yet); ``rows``, ``days`` and ``values`` hold one entry per
+    accepted row.
+    """
+
+    row_of: dict[str, int] = field(default_factory=dict)
+    codes: array = field(default_factory=lambda: array("b"))
+    rows: array = field(default_factory=lambda: array("q"))
+    days: array = field(default_factory=lambda: array("q"))
+    values: array = field(default_factory=lambda: array("d"))
 
 
-def _parse_common(
-    user_id: object, day: object, value: object, variant: object,
-    calendar: ExperimentCalendar, report: IngestReport,
-) -> EventLogRecord | None:
-    if not isinstance(user_id, str) or not user_id:
-        report.reject("missing-user-id")
-        return None
-    if isinstance(day, bool) or not isinstance(day, int):
+RowSink = Callable[[object, object, object, object], None]
+
+
+def _row_sink(
+    columns: LogColumns, calendar: ExperimentCalendar, require_variant: bool, report: IngestReport,
+) -> RowSink:
+    """The check of one raw ``(user_id, day, value, variant)`` row: it is either
+    rejected under the first reason that applies or appended to ``columns``.
+
+    A variant that contradicts the user's earlier one is a conflict; with
+    ``require_variant`` a row without one is rejected until the user has one.
+    """
+    k = calendar.k
+    reject = report.reject
+    row_of, codes = columns.row_of, columns.codes
+    add_row, add_day, add_value = columns.rows.append, columns.days.append, columns.values.append
+    isfinite = math.isfinite
+
+    def accept(user_id: object, day: object, value: object, variant: object) -> None:
+        if not isinstance(user_id, str) or not user_id:
+            return reject("missing-user-id")
+        if isinstance(day, bool) or not isinstance(day, int):
+            try:
+                day = int(str(day))
+            except (TypeError, ValueError):
+                return reject("invalid-day")
+        if not 1 <= day <= k:
+            return reject("day-out-of-range")
         try:
-            day = int(str(day))
-        except (TypeError, ValueError):
-            report.reject("invalid-day")
-            return None
-    if not 1 <= day <= calendar.k:
-        report.reject("day-out-of-range")
-        return None
-    try:
-        value = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        report.reject("invalid-value")
-        return None
-    if not math.isfinite(value):
-        report.reject("invalid-value")
-        return None
-    parsed_variant, ok = _parse_variant(variant, report)
-    if not ok:
-        return None
-    return EventLogRecord(user_id, day, value, parsed_variant)
+            value = float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError, OverflowError):
+            return reject("invalid-value")
+        if not isfinite(value):
+            return reject("invalid-value")
+        if variant is None:
+            code = -1
+        else:
+            code = _VARIANT_CODE.get(variant) if isinstance(variant, str) else None
+            if code is None:
+                return reject("invalid-variant")
+        row = row_of.get(user_id)
+        known = -1 if row is None else codes[row]
+        if code >= 0 and known >= 0 and code != known:
+            return reject("variant-conflict")
+        if require_variant and code < 0 and known < 0:
+            return reject("missing-variant")
+        if row is None:
+            row = row_of[user_id] = len(codes)
+            codes.append(code)
+        elif known < 0:
+            codes[row] = code
+        add_row(row)
+        add_day(day)
+        add_value(value)
+
+    return accept
 
 
-def _iter_jsonl(fh: TextIO, calendar: ExperimentCalendar, report: IngestReport) -> Iterator[EventLogRecord]:
+def _read_jsonl(fh: TextIO, accept: RowSink, report: IngestReport) -> int:
+    """Decode each non-blank line on its own and pass its fields on; returns the rows seen."""
+    decode = json.JSONDecoder().decode
+    total = 0
     for line in fh:
         line = line.strip()
         if not line:
             continue
-        report.total_rows += 1
+        total += 1
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj = decode(line)
+        except (ValueError, RecursionError):
+            # ValueError also covers integer literals past Python's digit limit.
             report.reject("invalid-json")
             continue
         if not isinstance(obj, dict):
             report.reject("invalid-json")
             continue
-        record = _parse_common(
-            obj.get("user_id"), obj.get("day"), obj.get("value"), obj.get("variant"),
-            calendar, report,
-        )
-        if record is not None:
-            yield record
+        get = obj.get
+        accept(get("user_id"), get("day"), get("value"), get("variant"))
+    return total
 
 
-def _iter_csv(fh: TextIO, calendar: ExperimentCalendar, report: IngestReport) -> Iterator[EventLogRecord]:
+def _read_csv(fh: TextIO, accept: RowSink, report: IngestReport) -> int:
+    """Pass the named columns of each CSV row on; returns the rows seen."""
     reader = csv.DictReader(fh)
     header = reader.fieldnames or []
     missing = [c for c in ("user_id", "day", "value") if c not in header]
     if missing:
         raise DataFormatError(f"CSV header missing required columns: {', '.join(missing)}")
-    for row in reader:
-        report.total_rows += 1
-        record = _parse_common(
-            row.get("user_id"), row.get("day"), row.get("value"), row.get("variant"),
-            calendar, report,
-        )
-        if record is not None:
-            yield record
+    total = 0
+    for total, row in enumerate(reader, 1):
+        accept(row.get("user_id"), row.get("day"), row.get("value"), row.get("variant"))
+    return total
 
 
-def build_traces(
-    records: Iterable[EventLogRecord],
-    report: IngestReport,
-    calendar: ExperimentCalendar,
-    require_variant: bool = False,
-) -> TraceTable:
-    """Aggregate records into a trace table: daily values summed, users sorted by id.
+def build_traces(columns: LogColumns, calendar: ExperimentCalendar) -> TraceTable:
+    """Aggregate accepted rows into a trace table: daily values summed, users sorted by id.
 
-    A record whose variant contradicts an earlier one for the same user is
-    rejected; with ``require_variant`` records without one are too. Same-day
-    rows whose sum is not finite fail the whole log with DataFormatError.
+    Same-day rows whose sum is not finite fail the whole log with DataFormatError.
     """
-    variants: dict[str, Variant | None] = {}
-    row_of: dict[str, int] = {}
-    rows, days, values = array("q"), array("q"), array("d")
-    for record in records:
-        known = variants.get(record.user_id)
-        if record.variant is not None and known is not None and record.variant is not known:
-            report.reject("variant-conflict")
-            continue
-        if require_variant and record.variant is None and known is None:
-            report.reject("missing-variant")
-            continue
-        if record.variant is not None:
-            variants[record.user_id] = record.variant
-        else:
-            variants.setdefault(record.user_id, None)
-        rows.append(row_of.setdefault(record.user_id, len(row_of)))
-        days.append(record.day)
-        values.append(record.value)
-        report.accepted_rows += 1
-    user_ids = sorted(row_of)
-    rank = np.empty(len(user_ids), dtype=np.int64)
-    rank[[row_of[user_id] for user_id in user_ids]] = np.arange(len(user_ids))
-    index = (rank[np.frombuffer(rows, dtype=np.int64)], np.frombuffer(days, dtype=np.int64) - 1)
+    ids = list(columns.row_of)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    user_ids = [ids[row] for row in order]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    index = (
+        rank[np.frombuffer(columns.rows, dtype=np.int64)],
+        np.frombuffer(columns.days, dtype=np.int64) - 1,
+    )
     present = np.zeros((len(user_ids), calendar.k), dtype=bool)
     present[index] = True
     daily = np.zeros(present.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         # Unbuffered: rows for one user-day are added in log order.
-        np.add.at(daily, index, np.frombuffer(values, dtype=float))
+        np.add.at(daily, index, np.frombuffer(columns.values, dtype=float))
     overflow = np.argwhere(~np.isfinite(daily))
     if overflow.size:
         user, column = overflow[0]
@@ -221,7 +236,7 @@ def build_traces(
         )
     return TraceTable(
         user_ids=user_ids,
-        variants=[_CODE[variants[u]] for u in user_ids],
+        variants=np.frombuffer(columns.codes, dtype=np.int8)[order],
         present=present,
         values=daily,
     )
@@ -232,16 +247,24 @@ def read_event_log(
     calendar: ExperimentCalendar,
     require_variant: bool = False,
 ) -> tuple[TraceTable, IngestReport]:
-    """Load a JSONL or CSV event log (dispatched on the ``.csv`` extension)."""
+    """Load a JSONL or CSV event log (dispatched on the ``.csv`` extension).
+
+    The log is streamed: each row is checked as it is read and only accepted
+    rows are kept, as columns that ``build_traces`` then aggregates.
+    """
     path = Path(path)
     report = IngestReport()
+    columns = LogColumns()
+    accept = _row_sink(columns, calendar, require_variant, report)
+    read_rows = _read_csv if path.suffix.lower() == ".csv" else _read_jsonl
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            if path.suffix.lower() == ".csv":
-                rows = _iter_csv(fh, calendar, report)
-            else:
-                rows = _iter_jsonl(fh, calendar, report)
-            traces = build_traces(rows, report, calendar, require_variant)
+            report.total_rows = read_rows(fh, accept, report)
     except OSError as exc:
         raise DataFormatError(f"cannot read event log {path}: {exc}") from exc
-    return traces, report
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"event log {path} is not UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"malformed CSV in event log {path}: {exc}") from exc
+    report.accepted_rows = len(columns.rows)
+    return build_traces(columns, calendar), report

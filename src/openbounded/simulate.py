@@ -68,7 +68,11 @@ def _noise_matrix(
         return rng.normal(0.0, sigma, shape) if sigma > 0 else np.zeros(shape)
     if kind == "lognormal":
         # Zero-mean heavy-tailed noise; sigma acts as the log-scale shape.
-        return rng.lognormal(0.0, sigma, shape) - np.exp(sigma**2 / 2.0)
+        try:
+            mean = np.exp(sigma**2 / 2.0)
+        except OverflowError:
+            mean = np.inf
+        return rng.lognormal(0.0, sigma, shape) - mean
     raise ConfigurationError(f"unknown noise kind: {kind!r}")
 
 
@@ -79,12 +83,22 @@ def _simulated_table(
     effect: np.ndarray,
     n_treated: int,
 ) -> TraceTable:
-    """Users ``u0000000``, ... with the first ``n_treated`` in treatment."""
+    """Users ``u0000000``, ... with the first ``n_treated`` in treatment.
+
+    Outcomes past float range raise ConfigurationError: the parameters
+    cannot describe a log.
+    """
     total = presence.shape[0]
     values = noise
     values += levels[:, None]
     values[:n_treated] += effect
     np.copyto(values, 0.0, where=~presence)
+    if not np.isfinite(values).all():
+        user, column = np.argwhere(~np.isfinite(values))[0]
+        raise ConfigurationError(
+            f"simulated outcome of user u{user:07d} on day {column + 1} is not finite: "
+            "the parameters reach past float range"
+        )
     return TraceTable(
         user_ids=np.char.mod("u%07d", np.arange(total)).tolist(),
         variants=(np.arange(total) < n_treated).astype(np.int8),
@@ -93,6 +107,8 @@ def _simulated_table(
     )
 
 
+# Overflow is caught by _simulated_table's finiteness check, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_model1(
     params: Model1Params,
     n_per_arm: int,
@@ -125,6 +141,8 @@ def simulate_model1(
     return _simulated_table(presence, levels, noise, effect, n_per_arm)
 
 
+# Overflow is caught by _simulated_table's finiteness check, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_model2(
     params: Model2Params,
     seed: Seed,

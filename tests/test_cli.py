@@ -62,6 +62,22 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("error:") and "\n" not in err.strip("\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "power"])
+    @pytest.mark.parametrize("flags", [
+        ["--c", "1e308", "--sigma", "1e308"],
+        ["--sigma", "1e308", "--noise", "lognormal"],
+    ], ids=["normal", "lognormal"])
+    def test_outcomes_past_float_range_exit_usage(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--model", "model1", *flags, "--n-per-arm", "50", "-o", str(out)]
+        if command == "power":
+            argv += ["--fractions", "1.0", "--reps", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and not out.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_metadata_sidecar_fields(self, tmp_path, capsys):
         out = tmp_path / "m1.jsonl"
         run_cli(capsys, "simulate", "--model", "model1", "--seed", "3", "-o", str(out))
@@ -180,6 +196,30 @@ class TestAnalyzeCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"user_id":"zz","day":1,"variant":"T","value":1' + "0" * 400 + "}", "invalid-value"),
+        ('{"user_id":"zz","day":1,"variant":"T","value":' + "1" * 5000 + "}", "invalid-json"),
+        ("[" * 100_000, "invalid-json"),
+    ], ids=["past-float-range", "past-digit-limit", "past-recursion-limit"])
+    def test_hostile_row_rejected_with_warning(self, small_log, capsys, line, reason):
+        with open(small_log, "a") as fh:
+            fh.write(line + "\n")
+        code, out, err = run_cli(capsys, "analyze", "-i", str(small_log))
+        assert code == 0
+        assert err.startswith("warning:") and err.count("\n") == 1 and reason in err
+        assert json.loads(out)["ingest"]["rejected"] == {reason: 1}
+
+    @pytest.mark.parametrize("name, data", [
+        ("log.jsonl", b'\xff{"user_id":"u1","day":1,"variant":"T","value":1.0}\n'),
+        ("log.csv", b"user_id,day,variant,value\nu1,1,T," + b"9" * 200_000 + b"\n"),
+    ], ids=["not-utf8", "csv-field-past-limit"])
+    def test_unreadable_log_exit_data(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "analyze", "-i", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 

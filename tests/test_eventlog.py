@@ -1,26 +1,32 @@
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openbounded import (
     DataFormatError,
+    ExperimentCalendar,
     Model1Params,
     Seed,
-    Variant,
+    TraceTable,
     delta_estimate,
     read_event_log,
     simulate_model1,
     write_event_log,
     OPEN,
 )
-from openbounded.eventlog import (
-    EventLogRecord,
-    IngestReport,
-    build_traces,
-    sidecar_path,
-    write_metadata,
-)
-from conftest import user_rows
+from openbounded.eventlog import WRITE_CHUNK_ROWS, sidecar_path, write_metadata
+from conftest import VARIANT_CODES, make_table, user_rows
+from eventlog_reference import read_reference
+
+
+def write_rows(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
 
 
 class TestRoundTrip:
@@ -59,54 +65,170 @@ class TestRoundTrip:
 
 
 class TestAggregation:
-    def test_same_day_rows_summed(self, monday14):
-        report = IngestReport()
-        records = [
-            EventLogRecord("u1", 2, 1.5, Variant.TREATMENT),
-            EventLogRecord("u1", 2, 2.5, Variant.TREATMENT),
-            EventLogRecord("u1", 4, 1.0, Variant.TREATMENT),
-        ]
-        traces = build_traces(records, report, monday14)
+    def _read(self, tmp_path, monday14, rows, require_variant=False):
+        path = write_rows(tmp_path / "log.jsonl", [
+            {"user_id": user_id, "day": day, "value": value, "variant": variant}
+            for user_id, day, value, variant in rows
+        ])
+        return read_event_log(path, monday14, require_variant=require_variant)
+
+    def test_same_day_rows_summed(self, tmp_path, monday14):
+        traces, _ = self._read(tmp_path, monday14, [
+            ("u1", 2, 1.5, "T"),
+            ("u1", 2, 2.5, "T"),
+            ("u1", 4, 1.0, "T"),
+        ])
         assert user_rows(traces) == [("u1", "T", {2: 4.0, 4: 1.0})]
 
-    def test_split_rows_exactly_equivalent(self, monday14):
-        report_a, report_b = IngestReport(), IngestReport()
-        whole = [EventLogRecord("u1", 3, 5.0, Variant.CONTROL)]
-        halves = [
-            EventLogRecord("u1", 3, 2.5, Variant.CONTROL),
-            EventLogRecord("u1", 3, 2.5, Variant.CONTROL),
-        ]
-        assert build_traces(whole, report_a, monday14) == build_traces(halves, report_b, monday14)
+    def test_split_rows_exactly_equivalent(self, tmp_path, monday14):
+        whole, _ = self._read(tmp_path, monday14, [("u1", 3, 5.0, "C")])
+        halves, _ = self._read(tmp_path, monday14, [("u1", 3, 2.5, "C"), ("u1", 3, 2.5, "C")])
+        assert whole == halves
 
-    def test_users_sorted_regardless_of_input_order(self, monday14):
-        report = IngestReport()
-        records = [
-            EventLogRecord("zz", 1, 1.0, Variant.TREATMENT),
-            EventLogRecord("aa", 1, 1.0, Variant.CONTROL),
-        ]
-        traces = build_traces(records, report, monday14)
+    def test_users_sorted_regardless_of_input_order(self, tmp_path, monday14):
+        traces, _ = self._read(tmp_path, monday14, [("zz", 1, 1.0, "T"), ("aa", 1, 1.0, "C")])
         assert traces.user_ids == ("aa", "zz")
+        assert traces.variants.tolist() == [0, 1]
 
-    def test_variant_conflict_rejected(self, monday14):
-        report = IngestReport()
-        records = [
-            EventLogRecord("u1", 1, 1.0, Variant.TREATMENT),
-            EventLogRecord("u1", 2, 1.0, Variant.CONTROL),
-            EventLogRecord("u1", 3, 1.0, Variant.TREATMENT),
-        ]
-        traces = build_traces(records, report, monday14)
+    def test_variant_conflict_rejected(self, tmp_path, monday14):
+        traces, report = self._read(tmp_path, monday14, [
+            ("u1", 1, 1.0, "T"),
+            ("u1", 2, 1.0, "C"),
+            ("u1", 3, 1.0, "T"),
+        ])
         assert report.rejected == {"variant-conflict": 1}
         assert user_rows(traces) == [("u1", "T", {1: 1.0, 3: 1.0})]
 
-    def test_variant_required_mode(self, monday14):
-        report = IngestReport()
-        records = [
-            EventLogRecord("u1", 1, 1.0, None),
-            EventLogRecord("u2", 1, 1.0, Variant.CONTROL),
-        ]
-        traces = build_traces(records, report, monday14, require_variant=True)
+    def test_variant_required_mode(self, tmp_path, monday14):
+        traces, report = self._read(
+            tmp_path, monday14, [("u1", 1, 1.0, None), ("u2", 1, 1.0, "C")], require_variant=True,
+        )
         assert traces.user_ids == ("u2",)
         assert report.rejected == {"missing-variant": 1}
+
+
+class TestWriter:
+    PREFIXES = ('q"', "b\\", "\u00fc", "s ", "u")
+    VALUES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 100.0)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1])
+    def test_lines_match_json_dumps(self, tmp_path, n_rows):
+        k = 14
+        n_users = -(-n_rows // k) or 1
+        present = (np.arange(n_users * k) < n_rows).reshape(n_users, k)
+        values = np.resize(np.array(self.VALUES), n_users * k).reshape(n_users, k)
+        traces = TraceTable(
+            user_ids=[f"{self.PREFIXES[i % 5]}{i}" for i in range(n_users)],
+            variants=np.resize(np.array([1, 0, -1], dtype=np.int8), n_users),
+            present=present,
+            values=np.where(present, values, 0.0),
+        )
+        path = tmp_path / "log.jsonl"
+        assert write_event_log(path, traces) == n_rows
+        variant_of = {code: variant for variant, code in VARIANT_CODES.items()}
+        expected = [
+            json.dumps(
+                {"user_id": traces.user_ids[user], "day": int(column) + 1,
+                 "variant": variant_of[int(traces.variants[user])],
+                 "value": float(traces.values[user, column])},
+                sort_keys=True, separators=(",", ":"),
+            ) + "\n"
+            for user, column in zip(*np.nonzero(traces.present))
+        ]
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_refused(self, tmp_path, value):
+        traces = make_table([("u1", "T", {1: 1.0}), ("u2", "C", {3: value})])
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(DataFormatError, match="u2: day 3"):
+            write_event_log(path, traces)
+        assert not path.exists()
+
+
+USER_IDS = st.sampled_from(["u1", "u2", "u3", "\u00fc", "\u7528\u6237", 'q"', "s p", "", None, 7])
+DAYS = st.one_of(
+    st.integers(-1, 16),
+    st.sampled_from([True, False, "3", " 4 ", "99", "x", "1.0", 2.0, 2.5, None, [1]]),
+)
+VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([
+        True, False, "1.5", " 2 ", "nan", "inf", "wat", None, [1], -0.0, 5e-324, 1e308,
+        float("nan"), float("-inf"),
+    ]),
+)
+VARIANTS = st.sampled_from(["T", "C", None, "", "X", "t", 1, True, ["T"]])
+ROWS = st.fixed_dictionaries(
+    {"user_id": USER_IDS, "day": DAYS, "value": VALUES}, optional={"variant": VARIANTS},
+)
+# Well-formed rows over few users and days, so conflicts, duplicates and same-day overflow occur.
+CLEAN_ROWS = st.fixed_dictionaries({
+    "user_id": st.sampled_from(["u1", "u2", "\u00fc"]),
+    "day": st.integers(1, 3),
+    "value": st.one_of(st.floats(-1e3, 1e3), st.just(1e308)),
+    "variant": st.sampled_from(["T", "C", None]),
+})
+RAW_LINES = st.sampled_from([
+    "", "   ", "not json", "[1, 2]", '"text"', "null", '{"a":["}', '{"],"b":1}', '{"c":1},{"d":2}',
+    '{"user_id":"u1","day":1,"variant":"T","value":1' + "0" * 400 + "}",
+    '{"user_id":"u1","day":1,"variant":"T","value":' + "1" * 5000 + "}",
+    "[" * 100_000,
+])
+
+
+def _jsonl_line(item):
+    return item if isinstance(item, str) else json.dumps(item)
+
+
+def _csv_cell(value):
+    return "" if value is None else str(value)
+
+
+class TestMatchesReferenceReader:
+    """The streaming reader against the earlier per-row reader on hostile logs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        items=st.lists(st.one_of(ROWS, CLEAN_ROWS, CLEAN_ROWS, RAW_LINES), max_size=30),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        bom=st.booleans(),
+    )
+    def test_jsonl(self, tmp_path_factory, items, newline, bom):
+        text = ("\ufeff" if bom else "") + "".join(_jsonl_line(item) + newline for item in items)
+        self._check(tmp_path_factory.mktemp("log") / "log.jsonl", text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.one_of(ROWS, CLEAN_ROWS, CLEAN_ROWS, st.just({})), max_size=30),
+        columns=st.permutations(["user_id", "day", "value", "variant"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        bom=st.sampled_from([False, False, False, True]),
+    )
+    def test_csv(self, tmp_path_factory, rows, columns, newline, bom):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=newline)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_cell(row.get(c)) for c in columns] if row else [])
+        text = ("\ufeff" if bom else "") + buffer.getvalue()
+        self._check(tmp_path_factory.mktemp("log") / "log.csv", text)
+
+    def _check(self, path, text):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        calendar = ExperimentCalendar(k=14)
+        for require_variant in (False, True):
+            assert self._outcome(read_event_log, path, calendar, require_variant) == \
+                self._outcome(read_reference, path, calendar, require_variant)
+
+    @staticmethod
+    def _outcome(reader, path, calendar, require_variant):
+        try:
+            return reader(path, calendar, require_variant=require_variant)
+        except DataFormatError as exc:
+            return str(exc)
 
 
 class TestJsonlParsing:

@@ -156,6 +156,21 @@ class TestSimulateModel2:
         assert simulate_model2(params, Seed(8)) == simulate_model2(params, Seed(8))
 
 
+@pytest.mark.parametrize("params, noise_kind", [
+    (Model1Params(p=0.5, c=1e308, sigma=1e308), "normal"),
+    (Model1Params(p=0.5, sigma=1e308), "lognormal"),
+    (Model1Params(p=0.5, sigma=40.0), "lognormal"),
+    (Model2Params(ns=2, c=1e308, sigma=1e308), "normal"),
+], ids=["model1", "lognormal-shift", "lognormal-draws", "model2"])
+def test_outcomes_past_float_range_refused(params, noise_kind):
+    # A RuntimeWarning fails the test too, so the refusal must come without one.
+    with pytest.raises(ConfigurationError, match="not finite"):
+        if isinstance(params, Model1Params):
+            simulate_model1(params, 20, Seed(1), noise_kind=noise_kind)
+        else:
+            simulate_model2(params, Seed(1), noise_kind=noise_kind)
+
+
 class TestInjectEffect:
     def _raw_traces(self, n=200, seed=11, p=0.5, c=100.0, sigma=0.0):
         params = Model1Params(p=p, sigma=sigma, c=c)
