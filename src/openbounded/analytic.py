@@ -52,15 +52,12 @@ class Model1Params:
     sigma: float = 1.0
     c: float = 0.0
     calendar: ExperimentCalendar = DEFAULT_CALENDAR
-    d: int = 7
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError(f"activity probability must lie in (0, 1], got {self.p}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ConfigurationError(f"noise level must be >= 0, got {self.sigma}")
-        if not 1 <= self.d <= self.calendar.k:
-            raise ConfigurationError(f"observation length d={self.d} outside 1..{self.calendar.k}")
 
 
 @dataclass(frozen=True)
@@ -73,47 +70,18 @@ class Model2Params:
     sigma: float = 1.0
     c: float = 0.0
     calendar: ExperimentCalendar = DEFAULT_CALENDAR
-    d: int = 7
 
     def __post_init__(self) -> None:
         if not (isinstance(self.ns, int) and self.ns >= 1):
             raise ConfigurationError(f"arrival count per day must be an integer >= 1, got {self.ns}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ConfigurationError(f"noise level must be >= 0, got {self.sigma}")
-        if not 1 <= self.d <= self.calendar.k:
-            raise ConfigurationError(f"observation length d={self.d} outside 1..{self.calendar.k}")
 
 
-@dataclass(frozen=True)
-class BiasVarianceReport:
-    """Expected bias and variance of the delta estimator for one policy.
-
-    ``variance`` decomposes as ``eta * sigma^2 + zeta * tau_prime^2``: eta
-    weights the day-level outcome noise, zeta the weekend-interaction spread.
-    """
-
-    policy: InclusionPolicy
-    bias: float
-    variance: float
-    eta: float
-    zeta: float
-
-
-def model1_cohort_size(n_total: float, p: float, i: int) -> float:
-    """Expected number of users whose first active day is ``i``: N (1-p)^(i-1) p."""
-    if i < 1:
-        raise ConfigurationError(f"first active day must be >= 1, got {i}")
-    return n_total * (1.0 - p) ** (i - 1) * p
-
-
-def _observation_length(
-    policy: InclusionPolicy, calendar: ExperimentCalendar, d: int | None
-) -> int | None:
+def _observation_length(policy: InclusionPolicy, calendar: ExperimentCalendar) -> int | None:
     """A bounded policy's window length, checked to admit a cohort; None for open."""
     if policy.kind is PolicyKind.OPEN:
         return None
-    if d is not None and d != policy.d:
-        raise ConfigurationError(f"policy carries d={policy.d} but d={d} was passed")
     policy.validate_for(calendar)
     if calendar.k - policy.d < 1:
         raise ConfigurationError(f"no admitted cohorts with k={calendar.k}, d={policy.d}")
@@ -185,11 +153,11 @@ def _open_engagement_moments(
 
 
 def _model1_moments(
-    policy: InclusionPolicy, p: float, calendar: ExperimentCalendar, d: int | None
+    policy: InclusionPolicy, p: float, calendar: ExperimentCalendar
 ) -> tuple[float, float, float, float]:
     if not 0.0 < p <= 1.0:
         raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
-    d = _observation_length(policy, calendar, d)
+    d = _observation_length(policy, calendar)
     if d is None:
         return _open_engagement_moments(p, calendar)
     return _bounded_engagement_moments(p, calendar, d)
@@ -200,7 +168,6 @@ def model1_bias(
     p: float,
     tau_prime: float = 1.0,
     calendar: ExperimentCalendar = DEFAULT_CALENDAR,
-    d: int | None = None,
 ) -> float:
     """Expected deviation of the delta estimate from tau + (2/7) tau_prime.
 
@@ -211,7 +178,7 @@ def model1_bias(
     compete with fewer remaining weekdays; on a 14-day Monday-start window
     with d=7 the worst case over p underestimates by about 0.068 tau_prime.
     """
-    _, e_ratio, _, _ = _model1_moments(policy, p, calendar, d)
+    _, e_ratio, _, _ = _model1_moments(policy, p, calendar)
     return (e_ratio - WEEKEND_SHARE) * tau_prime
 
 
@@ -219,7 +186,7 @@ def model1_variance_coeffs(
     policy: InclusionPolicy,
     p: float,
     calendar: ExperimentCalendar = DEFAULT_CALENDAR,
-    d: int | None = None,
+    *,
     n_per_arm: int = 1,
 ) -> tuple[float, float]:
     """Coefficients (eta, zeta) with E[Var(delta)] = eta sigma^2 + zeta tau_prime^2.
@@ -232,7 +199,7 @@ def model1_variance_coeffs(
     """
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
-    e_inv_n, e_ratio, e_ratio_sq, admitted = _model1_moments(policy, p, calendar, d)
+    e_inv_n, e_ratio, e_ratio_sq, admitted = _model1_moments(policy, p, calendar)
     expected_users = n_per_arm * admitted
     eta = 2.0 * e_inv_n / expected_users
     zeta = (e_ratio_sq - e_ratio * e_ratio) / expected_users
@@ -240,7 +207,7 @@ def model1_variance_coeffs(
 
 
 def _model2_cohorts(
-    policy: InclusionPolicy, calendar: ExperimentCalendar, d: int | None
+    policy: InclusionPolicy, calendar: ExperimentCalendar
 ) -> tuple[list[float], list[int]]:
     """Weekend share and length of each admitted arrival cohort's window.
 
@@ -248,7 +215,7 @@ def _model2_cohorts(
     open analyses days [i, k] for i = 1..k and bounded(d) analyses
     [i, i + d - 1] for the admitted arrivals i = 1..k - d.
     """
-    d = _observation_length(policy, calendar, d)
+    d = _observation_length(policy, calendar)
     k = calendar.k
     if d is None:
         windows = [range(i, k + 1) for i in range(1, k + 1)]
@@ -260,9 +227,7 @@ def _model2_cohorts(
 
 
 def model2_bias(
-    policy: InclusionPolicy,
-    calendar: ExperimentCalendar = DEFAULT_CALENDAR,
-    d: int | None = None,
+    policy: InclusionPolicy, calendar: ExperimentCalendar = DEFAULT_CALENDAR
 ) -> float:
     """Bias of the delta estimate under Model 2, as a coefficient of tau_prime.
 
@@ -273,14 +238,14 @@ def model2_bias(
     14-day Monday start the coefficient is about +0.19 and it shrinks as the
     window grows.
     """
-    shares, _ = _model2_cohorts(policy, calendar, d)
+    shares, _ = _model2_cohorts(policy, calendar)
     return math.fsum(shares) / len(shares) - WEEKEND_SHARE
 
 
 def model2_variance_coeffs(
     policy: InclusionPolicy,
     calendar: ExperimentCalendar = DEFAULT_CALENDAR,
-    d: int | None = None,
+    *,
     ns: int = 1,
 ) -> tuple[float, float]:
     """(eta, zeta) such that E[Var(delta)] = eta sigma^2 + zeta tau_prime^2.
@@ -293,42 +258,12 @@ def model2_variance_coeffs(
     """
     if ns < 1:
         raise ConfigurationError(f"arrival count per day must be >= 1, got {ns}")
-    shares, lengths = _model2_cohorts(policy, calendar, d)
+    shares, lengths = _model2_cohorts(policy, calendar)
     n = len(shares)
     mean_share = math.fsum(shares) / n
     eta = 2.0 * math.fsum(1.0 / length for length in lengths) / (n * n * ns)
     zeta = math.fsum((r - mean_share) ** 2 for r in shares) / (n * n * ns)
     return eta, zeta
-
-
-def model2_variance(policy: InclusionPolicy, params: Model2Params) -> float:
-    """Expected variance of the delta estimator under Model 2."""
-    eta, zeta = model2_variance_coeffs(policy, params.calendar, params.d, params.ns)
-    return eta * params.sigma**2 + zeta * params.tau_prime**2
-
-
-def model1_report(
-    policy: InclusionPolicy, params: Model1Params, n_per_arm: int = 1
-) -> BiasVarianceReport:
-    eta, zeta = model1_variance_coeffs(policy, params.p, params.calendar, params.d, n_per_arm)
-    return BiasVarianceReport(
-        policy=policy,
-        bias=model1_bias(policy, params.p, params.tau_prime, params.calendar, params.d),
-        variance=eta * params.sigma**2 + zeta * params.tau_prime**2,
-        eta=eta,
-        zeta=zeta,
-    )
-
-
-def model2_report(policy: InclusionPolicy, params: Model2Params) -> BiasVarianceReport:
-    eta, zeta = model2_variance_coeffs(policy, params.calendar, params.d, params.ns)
-    return BiasVarianceReport(
-        policy=policy,
-        bias=model2_bias(policy, params.calendar, params.d) * params.tau_prime,
-        variance=eta * params.sigma**2 + zeta * params.tau_prime**2,
-        eta=eta,
-        zeta=zeta,
-    )
 
 
 def toy_even_day_ratio(policy: InclusionPolicy, p: float) -> float:
@@ -364,15 +299,12 @@ class OracleExpectation:
 
     ``ratio`` conditions on admission; ``ratio_over_active`` averages over
     every user with any activity, counting the non-admitted as zero (the
-    convention of the 4-day desk example). ``metric_mean`` is the expected
-    per-user metric of an admitted treatment user with zero noise.
-    ``inverse_days`` and ``ratio_sq`` are E[1 / analysed days] and
+    convention of the 4-day desk example). ``inverse_days`` and ``ratio_sq`` are E[1 / analysed days] and
     E[ratio^2] over admitted users, the moments behind the variance terms.
     """
 
     ratio: float
     ratio_over_active: float
-    metric_mean: float
     inverse_days: float
     ratio_sq: float
     admission_probability: float
@@ -414,16 +346,13 @@ def enumeration_oracle(
     p: float,
     effect_days: tuple[int, ...] | None = None,
     *,
-    c: float = 0.0,
-    tau: float = 0.0,
-    tau_prime: float = 1.0,
     admission_deadline: int | None = None,
 ) -> OracleExpectation:
     """Brute-force expectations over all 2^k Bernoulli(p) presence patterns.
 
     Independent of every closed form above: each pattern is weighted by
     p^(active) (1-p)^(inactive), run through the policy's inclusion rule,
-    and its effect-day share and per-user metric accumulated exactly.
+    and its effect-day share and its moments accumulated exactly.
     ``effect_days`` defaults to the calendar's weekend days.
     ``admission_deadline`` overrides the policy's last admitted first-active
     day (the desk example admits one cohort later than the default rule).
@@ -453,7 +382,6 @@ def enumeration_oracle(
     pow_q = [(1.0 - p) ** a for a in range(k + 1)]
     admitted_prob = 0.0
     ratio_acc = 0.0
-    metric_acc = 0.0
     inverse_acc = 0.0
     ratio_sq_acc = 0.0
     for total_active, analyzed, effect, count in groups:
@@ -461,7 +389,6 @@ def enumeration_oracle(
         share = effect / analyzed
         admitted_prob += weight
         ratio_acc += weight * share
-        metric_acc += weight * (c + tau + tau_prime * share)
         inverse_acc += weight / analyzed
         ratio_sq_acc += weight * share * share
     activity_prob = admitted_prob + sum(
@@ -472,7 +399,6 @@ def enumeration_oracle(
     return OracleExpectation(
         ratio=ratio_acc / admitted_prob,
         ratio_over_active=ratio_acc / activity_prob,
-        metric_mean=metric_acc / admitted_prob,
         inverse_days=inverse_acc / admitted_prob,
         ratio_sq=ratio_sq_acc / admitted_prob,
         admission_probability=admitted_prob,

@@ -52,6 +52,8 @@ EXIT_INSUFFICIENT = 3
 
 SEED_ENV_VAR = "OPENBOUNDED_SEED"
 REJECT_ERROR_FRACTION = 0.10
+# Most values a start:stop:step range may expand to.
+MAX_RANGE_VALUES = 10_000
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -61,9 +63,18 @@ def _parse_float_list(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigurationError(f"range syntax is start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        try:
+            start, stop, step = (float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot parse range {text!r}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigurationError(f"range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ConfigurationError("range step must be positive")
+        if not (stop + 1e-9 - start) / step < MAX_RANGE_VALUES:
+            raise ConfigurationError(
+                f"range {text!r} expands to more than {MAX_RANGE_VALUES} values"
+            )
         values = []
         x = start
         while x <= stop + 1e-9:
@@ -204,12 +215,12 @@ def _model_params(args: argparse.Namespace, calendar: ExperimentCalendar):
     if args.model == "model1":
         return Model1Params(
             p=args.p, tau=args.tau, tau_prime=args.tau_prime, sigma=args.sigma,
-            c=args.c, calendar=calendar, d=args.d,
+            c=args.c, calendar=calendar,
         )
     if args.model == "model2":
         return Model2Params(
             ns=args.ns, tau=args.tau, tau_prime=args.tau_prime, sigma=args.sigma,
-            c=args.c, calendar=calendar, d=args.d,
+            c=args.c, calendar=calendar,
         )
     raise ConfigurationError(f"unknown model {args.model!r}")
 
@@ -244,7 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "c": params.c,
                     "k": calendar.k,
                     "start_dow": calendar.start_dow.name,
-                    "d": params.d,
+                    "d": args.d,
                 },
                 "seed": seed.base,
                 "tool_version": __version__,
@@ -404,8 +415,8 @@ def _analytic_model1_rows(args: argparse.Namespace, calendar: ExperimentCalendar
     rows = []
     for policy in policies:
         for p in grid:
-            bias = model1_bias(policy, p, 1.0, calendar, args.d)
-            eta, zeta = model1_variance_coeffs(policy, p, calendar, args.d, args.n_per_arm)
+            bias = model1_bias(policy, p, 1.0, calendar)
+            eta, zeta = model1_variance_coeffs(policy, p, calendar, n_per_arm=args.n_per_arm)
             oracle_bias = None
             if use_oracle:
                 oracle_bias = enumeration_oracle(calendar, policy, p).ratio - WEEKEND_SHARE
@@ -414,11 +425,8 @@ def _analytic_model1_rows(args: argparse.Namespace, calendar: ExperimentCalendar
 
 
 def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar) -> float:
-    """Independent check: run the noiseless simulator through the estimator.
-
-    The simulator does not read ``d``; the policy carries the bounded window.
-    """
-    params = Model2Params(ns=1, tau=0.0, tau_prime=1.0, sigma=0.0, calendar=calendar, d=calendar.k)
+    """Independent check: run the noiseless simulator through the estimator."""
+    params = Model2Params(ns=1, tau=0.0, tau_prime=1.0, sigma=0.0, calendar=calendar)
     traces = simulate_model2(params, Seed(0))
     res = delta_estimate(traces, policy, calendar, TestKind.Z)
     return res.delta - WEEKEND_SHARE
@@ -427,8 +435,8 @@ def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar)
 def _analytic_model2_rows(args: argparse.Namespace, calendar: ExperimentCalendar, policies):
     rows = []
     for policy in policies:
-        bias = model2_bias(policy, calendar, args.d)
-        eta, zeta = model2_variance_coeffs(policy, calendar, args.d, args.ns)
+        bias = model2_bias(policy, calendar)
+        eta, zeta = model2_variance_coeffs(policy, calendar, ns=args.ns)
         try:
             pipeline_bias = _model2_pipeline_bias(policy, calendar)
         except InsufficientDataError:
@@ -464,7 +472,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def _add_calendar_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=14, help="experiment length in days")
     sub.add_argument("--start-dow", default="monday", help="weekday of day 1 (default monday)")
-    sub.add_argument("--d", type=int, default=7, help="bounded observation length in days")
+    sub.add_argument("--d", type=int, default=7,
+                     help="bounded observation length in days (read only by the bounded policy)")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -553,6 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    print(f"error: {' '.join(message.split())}", file=sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -563,14 +577,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         _apply_config_file(args, parser)
         return args.func(args)
     except ConfigurationError as exc:
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(str(exc), EXIT_USAGE)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", EXIT_USAGE)
     except (DataFormatError, OSError) as exc:
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(str(exc), EXIT_DATA)
     except InsufficientDataError as exc:
-        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+        return _fail(str(exc), EXIT_INSUFFICIENT)
 
 
 if __name__ == "__main__":

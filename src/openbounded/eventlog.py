@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,12 @@ WRITE_CHUNK_ROWS = 16_384
 _VARIANT_CODE = {"T": 1, "C": 0, "": -1}
 # The end of a written line, after the value, for each variant code.
 _LINE_END = {1: ',"variant":"T"}\n', 0: ',"variant":"C"}\n', -1: ',"variant":null}\n'}
+# The text a day or a value given as a string may hold: ASCII digits with an
+# optional sign and surrounding ASCII whitespace; a value may add a decimal
+# point and an exponent. Python's own literals would also take "1_0" or
+# non-ASCII digits.
+_DAY_TEXT = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
+_VALUE_TEXT = re.compile(r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\s*", re.ASCII)
 
 
 @dataclass
@@ -123,7 +130,8 @@ def _row_sink(
     """The check of one raw ``(user_id, day, value, variant)`` row: it is either
     rejected under the first reason that applies or appended to ``columns``.
 
-    A variant that contradicts the user's earlier one is a conflict; with
+    A string day or value must match ``_DAY_TEXT`` or ``_VALUE_TEXT``. A
+    variant that contradicts the user's earlier one is a conflict; with
     ``require_variant`` a row without one is rejected until the user has one.
     """
     k = calendar.k
@@ -131,21 +139,27 @@ def _row_sink(
     row_of, codes = columns.row_of, columns.codes
     add_row, add_day, add_value = columns.rows.append, columns.days.append, columns.values.append
     isfinite = math.isfinite
+    day_text, value_text = _DAY_TEXT.fullmatch, _VALUE_TEXT.fullmatch
 
     def accept(user_id: object, day: object, value: object, variant: object) -> None:
         if not isinstance(user_id, str) or not user_id:
             return reject("missing-user-id")
         if isinstance(day, bool) or not isinstance(day, int):
+            if not (isinstance(day, str) and day_text(day)):
+                return reject("invalid-day")
             try:
-                day = int(str(day))
-            except (TypeError, ValueError):
+                day = int(day)
+            except ValueError:  # past Python's digit limit
                 return reject("invalid-day")
         if not 1 <= day <= k:
             return reject("day-out-of-range")
-        try:
-            value = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError, OverflowError):
-            return reject("invalid-value")
+        if value.__class__ is not float:  # a JSON float needs no conversion
+            if isinstance(value, str) and not value_text(value):
+                return reject("invalid-value")
+            try:
+                value = float(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError, OverflowError):
+                return reject("invalid-value")
         if not isfinite(value):
             return reject("invalid-value")
         if variant is None:

@@ -301,6 +301,8 @@ def compare_policies(
     fracs = _validate_fractions(fractions)
     if repetitions < 2:
         raise ConfigurationError(f"repetitions must be >= 2, got {repetitions}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"significance level must lie in (0, 1), got {alpha}")
     if not policies:
         raise ConfigurationError("at least one policy is required")
     tables = [metric_table(traces, policy, calendar) for policy in policies]

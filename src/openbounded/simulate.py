@@ -39,9 +39,6 @@ class Seed:
     def generator(self, *indices: int) -> np.random.Generator:
         return np.random.default_rng(self.sequence(*indices))
 
-    def derive(self, *indices: int) -> "Seed":
-        return Seed(int(self.sequence(*indices).generate_state(1, dtype=np.uint64)[0]))
-
 
 class EffectKind(enum.Enum):
     ABSOLUTE = "absolute"
@@ -74,6 +71,18 @@ def _noise_matrix(
             mean = np.inf
         return rng.lognormal(0.0, sigma, shape) - mean
     raise ConfigurationError(f"unknown noise kind: {kind!r}")
+
+
+def _user_levels(
+    rng: np.random.Generator, c: float, sigma_user: float, total: int
+) -> np.ndarray:
+    """Each user's outcome level: c, plus a Normal(0, sigma_user^2) draw when sigma_user > 0."""
+    if not sigma_user >= 0.0:
+        raise ConfigurationError(f"per-user level spread must be >= 0, got {sigma_user}")
+    levels = np.full(total, c)
+    if sigma_user > 0.0:
+        levels = levels + rng.normal(0.0, sigma_user, total)
+    return levels
 
 
 def _simulated_table(
@@ -132,9 +141,7 @@ def simulate_model1(
     total = 2 * n_per_arm
     rng = seed.generator()
     presence = rng.random((total, k)) < params.p
-    levels = np.full(total, params.c)
-    if sigma_user > 0.0:
-        levels = levels + rng.normal(0.0, sigma_user, total)
+    levels = _user_levels(rng, params.c, sigma_user, total)
     noise = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
 
     effect = params.tau + params.tau_prime * calendar.weekend_mask()
@@ -161,9 +168,7 @@ def simulate_model2(
     per_arm = k * params.ns
     total = 2 * per_arm
     rng = seed.generator()
-    levels = np.full(total, params.c)
-    if sigma_user > 0.0:
-        levels = levels + rng.normal(0.0, sigma_user, total)
+    levels = _user_levels(rng, params.c, sigma_user, total)
     noise = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
 
     arrival = (np.arange(total) % per_arm) // params.ns + 1

@@ -3,7 +3,8 @@
 Each row becomes a plain tuple, then users are aggregated in dicts. It is the
 earlier reader rule for rule, plus the two rules for hostile numbers: an
 integer value past float range is an invalid value, and a line that ``json``
-refuses with a plain ValueError or RecursionError is invalid JSON.
+refuses with a plain ValueError or RecursionError is invalid JSON. A day or a
+value given as a string must also be spelled in ASCII: see ``_ascii_number``.
 """
 
 import csv
@@ -16,18 +17,46 @@ from openbounded import DataFormatError, TraceTable
 from openbounded.eventlog import IngestReport
 
 CODES = {"T": 1, "C": 0, None: -1}
+ASCII_SPACE = " \t\n\r\f\v"
+DIGITS = set("0123456789")
+
+
+def _digits(text):
+    return bool(text) and set(text) <= DIGITS
+
+
+def _ascii_number(text, fraction):
+    """Whether ``text`` is ASCII digits with an optional sign and surrounding
+    ASCII whitespace, plus, when ``fraction``, an optional decimal point and exponent."""
+    body = text.strip(ASCII_SPACE)
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    if not fraction:
+        return _digits(body)
+    mantissa, e, exponent = body.replace("E", "e").partition("e")
+    if e:
+        if exponent[:1] in ("+", "-"):
+            exponent = exponent[1:]
+        if not _digits(exponent):
+            return False
+    whole, _, part = mantissa.partition(".")
+    return bool(whole or part) and all(_digits(x) for x in (whole, part) if x)
 
 
 def _parse(user_id, day, value, variant, k, report):
     if not isinstance(user_id, str) or not user_id:
         return report.reject("missing-user-id")
     if isinstance(day, bool) or not isinstance(day, int):
+        if isinstance(day, str) and not _ascii_number(day, fraction=False):
+            return report.reject("invalid-day")
         try:
             day = int(str(day))
         except (TypeError, ValueError):
             return report.reject("invalid-day")
     if not 1 <= day <= k:
         return report.reject("day-out-of-range")
+    if isinstance(value, str) and not _ascii_number(value, fraction=True):
+        return report.reject("invalid-value")
     try:
         value = float(value)
     except (TypeError, ValueError, OverflowError):

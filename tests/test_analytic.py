@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +16,8 @@ from openbounded import (
     delta_estimate,
     enumeration_oracle,
     model1_bias,
-    model1_cohort_size,
-    model1_report,
     model1_variance_coeffs,
     model2_bias,
-    model2_report,
-    model2_variance,
     model2_variance_coeffs,
     simulate_model2,
     toy_even_day_ratio,
@@ -36,15 +35,24 @@ BOUNDED7 = bounded(7)
 
 
 class TestCohortSize:
+    """First-active-day cohorts hold N (1-p)^(i-1) p users, the weight of every
+    Model 1 closed form; the oracle's mass first active by day i counts them."""
+
+    @staticmethod
+    def first_active_by(day, p, n_total=1000):
+        oracle = enumeration_oracle(ExperimentCalendar(14), OPEN, p, admission_deadline=day)
+        return n_total * oracle.admission_probability
+
     def test_first_day(self):
-        assert model1_cohort_size(1000, 0.5, 1) == 500.0
+        assert self.first_active_by(1, 0.5) == pytest.approx(500.0, rel=1e-12)
 
     def test_geometric_decay(self):
-        assert model1_cohort_size(1000, 0.5, 2) == 250.0
+        second = self.first_active_by(2, 0.5) - self.first_active_by(1, 0.5)
+        assert second == pytest.approx(250.0, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.35, 0.8])
     def test_admitted_total_over_one_week(self, p):
-        total = sum(model1_cohort_size(1000, p, i) for i in range(1, 8))
+        total = self.first_active_by(7, p)
         assert total == pytest.approx(1000 * (1 - (1 - p) ** 7), rel=1e-12)
 
 
@@ -96,10 +104,6 @@ class TestModel1Bias:
             with pytest.raises(ConfigurationError):
                 model1_variance_coeffs(bounded(d), 0.5)
 
-    def test_conflicting_window_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            model1_bias(BOUNDED7, 0.5, d=6)
-
     def test_p_out_of_range(self):
         with pytest.raises(ConfigurationError):
             model1_bias(OPEN, 0.0)
@@ -134,10 +138,17 @@ class TestModel1VarianceCoeffs:
         assert zeta2 == pytest.approx(zeta1 / 2, rel=1e-12)
 
     def test_report_decomposition(self):
+        # eta sigma^2 + zeta tau'^2 against the oracle's moments over 100 users per arm.
         params = Model1Params(p=0.3, tau_prime=0.5, sigma=2.0)
-        report = model1_report(BOUNDED7, params, n_per_arm=100)
-        assert report.variance == pytest.approx(
-            report.eta * params.sigma**2 + report.zeta * params.tau_prime**2, rel=1e-12
+        eta, zeta = model1_variance_coeffs(BOUNDED7, params.p, n_per_arm=100)
+        oracle = enumeration_oracle(params.calendar, BOUNDED7, params.p)
+        users = 100 * oracle.admission_probability
+        variance = (
+            2.0 * oracle.inverse_days * params.sigma**2
+            + (oracle.ratio_sq - oracle.ratio**2) * params.tau_prime**2
+        ) / users
+        assert variance == pytest.approx(
+            eta * params.sigma**2 + zeta * params.tau_prime**2, rel=1e-12
         )
 
 
@@ -173,7 +184,7 @@ class TestModel2:
         ]
         for k, start, policy in cases:
             cal = ExperimentCalendar(k, start)
-            params = Model2Params(ns=1, tau_prime=1.0, sigma=0.0, calendar=cal, d=policy.d or 7)
+            params = Model2Params(ns=1, tau_prime=1.0, sigma=0.0, calendar=cal)
             res = delta_estimate(simulate_model2(params, Seed(0)), policy, cal)
             n = res.n_treatment
             assert model2_bias(policy, cal) == pytest.approx(res.delta - WEEKEND_SHARE, abs=1e-12)
@@ -203,15 +214,26 @@ class TestModel2:
     def test_deterministic_outcomes_have_zero_variance(self):
         for policy in (OPEN, BOUNDED7):
             params = Model2Params(ns=10, sigma=0.0, tau_prime=0.0)
-            assert model2_variance(policy, params) == 0.0
+            eta, zeta = model2_variance_coeffs(policy, params.calendar, ns=params.ns)
+            assert eta * params.sigma**2 + zeta * params.tau_prime**2 == 0.0
 
     def test_report_decomposition(self):
+        # Against one noiseless run: its sample variance is the weekend term,
+        # and each user's analysed days give the noise term, sigma^2 / days per
+        # user mean in both arms.
         params = Model2Params(ns=50, tau_prime=2.0, sigma=1.5)
-        report = model2_report(OPEN, params)
-        assert report.variance == pytest.approx(
-            report.eta * 1.5**2 + report.zeta * 4.0, rel=1e-12
+        traces = simulate_model2(replace(params, sigma=0.0), Seed(0))
+        res = delta_estimate(traces, OPEN, params.calendar)
+        n = res.n_treatment
+        days = traces.present[traces.variants == 1].sum(axis=1)
+        noise = 2.0 * np.mean(1.0 / days) / n * params.sigma**2
+        eta, zeta = model2_variance_coeffs(OPEN, params.calendar, ns=params.ns)
+        assert noise + res.variance * (n - 1) / n == pytest.approx(
+            eta * params.sigma**2 + zeta * params.tau_prime**2, rel=1e-12
         )
-        assert report.bias == pytest.approx(model2_bias(OPEN) * 2.0, rel=1e-12)
+        assert res.delta - WEEKEND_SHARE * 2.0 == pytest.approx(
+            model2_bias(OPEN) * 2.0, rel=1e-12
+        )
 
 
 class TestToyEvenDayRatio:
@@ -257,11 +279,6 @@ class TestEnumerationOracle:
             oracle = enumeration_oracle(monday14, BOUNDED7, p)
             closed = model1_bias(BOUNDED7, p) + WEEKEND_SHARE
             assert oracle.ratio == pytest.approx(closed, abs=1e-9)
-
-    def test_metric_mean_linearity(self, monday14):
-        oracle = enumeration_oracle(monday14, BOUNDED7, 0.3, c=10.0, tau=2.0, tau_prime=4.0)
-        base = enumeration_oracle(monday14, BOUNDED7, 0.3)
-        assert oracle.metric_mean == pytest.approx(12.0 + 4.0 * base.ratio, rel=1e-12)
 
     def test_admission_probability(self, monday14):
         oracle = enumeration_oracle(monday14, BOUNDED7, 0.3)

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from openbounded import cli
 from openbounded.cli import main
 
 
@@ -403,6 +404,61 @@ class TestAnalyticCommand:
         assert code == 0
         payload = json.loads(out)
         assert {row["policy"] for row in payload["rows"]} == {"open", "bounded"}
+
+
+class TestParameterChecks:
+    """``--d`` is read only where a bounded policy is built, and every other
+    parameter is checked before anything is drawn or allocated."""
+
+    def test_d_ignored_without_a_bounded_policy(self, tmp_path, capsys):
+        out = tmp_path / "m.jsonl"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--model", "model1", "--d", "20", "--n-per-arm", "5",
+            "-o", str(out),
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "m.meta.json").read_text())["params"]["d"] == 20
+        power = ["power", "--model", "model1", "--d", "20", "--n-per-arm", "20",
+                 "--fractions", "1.0", "--reps", "2", "-o", str(tmp_path / "p.json")]
+        assert run_cli(capsys, *power, "--policy", "open")[0] == 0
+        code, _, err = run_cli(capsys, *power, "--policy", "bounded")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "model1", "--sigma", "nan"],
+        ["simulate", "--model", "model2", "--sigma", "nan"],
+        ["simulate", "--model", "model1", "--sigma-user", "nan"],
+        ["simulate", "--model", "model2", "--sigma-user", "-1"],
+        ["power", "--model", "model1", "--alpha", "7"],
+        ["power", "--model", "model1", "--alpha", "nan"],
+        ["power", "--model", "model1", "--alpha", "0"],
+        ["power", "--model", "model1", "--fractions", "0:1:1e-12"],
+        ["power", "--model", "model1", "--fractions", "0:inf:0.1"],
+        ["power", "--model", "model1", "--fractions=-1e308:1e308:1"],
+        ["power", "--model", "model1", "--fractions", "a:b:c"],
+        ["analytic", "--model", "model1", "--p-grid", "0.01:1:1e-12"],
+    ], ids=lambda argv: "-".join(a.removeprefix("--") for a in argv))
+    def test_hostile_value_exit_usage(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.jsonl"
+        sizes = ["--n-per-arm", "20", "--ns", "2", "-o", str(out)]
+        if argv[0] == "power":
+            sizes += ["--reps", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(capsys, *argv, *sizes)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 767. PiB"), MemoryError()])
+    def test_memory_error_exit_usage(self, capsys, monkeypatch, error):
+        def exhausted(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_analytic", exhausted)
+        code, out, err = run_cli(capsys, "analytic", "--model", "model1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 class TestConfigResolution:

@@ -149,14 +149,18 @@ class TestWriter:
 USER_IDS = st.sampled_from(["u1", "u2", "u3", "\u00fc", "\u7528\u6237", 'q"', "s p", "", None, 7])
 DAYS = st.one_of(
     st.integers(-1, 16),
-    st.sampled_from([True, False, "3", " 4 ", "99", "x", "1.0", 2.0, 2.5, None, [1]]),
+    st.sampled_from([
+        True, False, "3", " 4 ", "99", "x", "1.0", 2.0, 2.5, None, [1],
+        "+5", "-3", "05", "1_0", "\u0663", "\u00a04", "\x1c4", "1e1", "",
+    ]),
 )
 VALUES = st.one_of(
     st.floats(-1e3, 1e3),
     st.integers(-10**6, 10**6),
     st.sampled_from([
         True, False, "1.5", " 2 ", "nan", "inf", "wat", None, [1], -0.0, 5e-324, 1e308,
-        float("nan"), float("-inf"),
+        float("nan"), float("-inf"), "+.5", "1.", "-2e3", "1E-2", ".", "1e", "1_000.5",
+        "\u0661.5", "\u00a02", "1" * 400,
     ]),
 )
 VARIANTS = st.sampled_from(["T", "C", None, "", "X", "t", 1, True, ["T"]])
@@ -270,6 +274,57 @@ class TestJsonlParsing:
     def test_missing_file(self, tmp_path, monday14):
         with pytest.raises(DataFormatError):
             read_event_log(tmp_path / "nope.jsonl", monday14)
+
+
+class TestStringNumbers:
+    """A day or value given as a string is read only in strict ASCII spelling."""
+
+    @staticmethod
+    def _read(tmp_path, calendar, suffix, day, value):
+        path = tmp_path / f"log{suffix}"
+        if suffix == ".csv":
+            buffer = io.StringIO()
+            csv.writer(buffer).writerows([["user_id", "day", "value"], ["u1", day, value]])
+            path.write_text(buffer.getvalue(), encoding="utf-8")
+        else:
+            write_rows(path, [{"user_id": "u1", "day": day, "value": value}])
+        return read_event_log(path, calendar)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    @pytest.mark.parametrize("day, value, expected", [
+        (" 4 ", " 2 ", (4, 2.0)),
+        ("+4", "-1.5", (4, -1.5)),
+        ("\t04", "+.5", (4, 0.5)),
+        ("4", "1.", (4, 1.0)),
+        ("4", "2.5E-1", (4, 0.25)),
+        ("4", "-1e3 ", (4, -1000.0)),
+    ])
+    def test_ascii_spellings_accepted(self, tmp_path, monday14, suffix, day, value, expected):
+        traces, report = self._read(tmp_path, monday14, suffix, day, value)
+        assert report.rejected == {}
+        assert user_rows(traces) == [("u1", None, {expected[0]: expected[1]})]
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    @pytest.mark.parametrize("day, value, reason", [
+        ("1_0", "1.0", "invalid-day"),
+        ("\u0663", "1.0", "invalid-day"),
+        ("\u00a04", "1.0", "invalid-day"),
+        ("4.0", "1.0", "invalid-day"),
+        ("1e1", "1.0", "invalid-day"),
+        ("", "1.0", "invalid-day"),
+        ("-3", "1.0", "day-out-of-range"),
+        ("4", "1_000.5", "invalid-value"),
+        ("4", "\u0661.5", "invalid-value"),
+        ("4", "\u00a02", "invalid-value"),
+        ("4", ".", "invalid-value"),
+        ("4", "1e", "invalid-value"),
+        ("4", "nan", "invalid-value"),
+        ("4", "inf", "invalid-value"),
+    ])
+    def test_other_spellings_rejected(self, tmp_path, monday14, suffix, day, value, reason):
+        traces, report = self._read(tmp_path, monday14, suffix, day, value)
+        assert report.rejected == {reason: 1}
+        assert len(traces) == 0
 
 
 class TestCsvParsing:

@@ -29,9 +29,12 @@ from conftest import make_table
 
 class TestSeed:
     def test_derivation_is_pure(self):
-        assert Seed(42).derive(3, 7) == Seed(42).derive(3, 7)
-        assert Seed(42).derive(3, 7) != Seed(42).derive(3, 8)
-        assert Seed(42).derive(3) != Seed(43).derive(3)
+        def draw(base, *indices):
+            return Seed(base).generator(*indices).integers(2**63, size=4).tolist()
+
+        assert draw(42, 3, 7) == draw(42, 3, 7)
+        assert draw(42, 3, 7) != draw(42, 3, 8)
+        assert draw(42, 3) != draw(43, 3)
 
     def test_range_checked(self):
         with pytest.raises(ConfigurationError):
