@@ -18,7 +18,13 @@ from typing import Literal
 import numpy as np
 
 from .analytic import Model1Params, Model2Params
-from .core import ConfigurationError, ExperimentCalendar, InsufficientDataError, TraceTable
+from .core import (
+    ConfigurationError,
+    DataFormatError,
+    ExperimentCalendar,
+    InsufficientDataError,
+    TraceTable,
+)
 
 NoiseKind = Literal["normal", "lognormal"]
 
@@ -56,6 +62,11 @@ class EffectSpec:
     kind: EffectKind
     tau: float
     tau_prime: float = 0.0
+
+    def __post_init__(self) -> None:
+        for label, value in (("lift", self.tau), ("weekend lift", self.tau_prime)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"injected {label} must be a finite number, got {value}")
 
 
 def _noise_matrix(
@@ -109,7 +120,7 @@ def _simulated_table(
             "the parameters reach past float range"
         )
     return TraceTable(
-        user_ids=np.char.mod("u%07d", np.arange(total)).tolist(),
+        user_ids=[f"u{i:07d}" for i in range(total)],
         variants=(np.arange(total) < n_treated).astype(np.int8),
         present=presence,
         values=values,
@@ -216,11 +227,21 @@ def inject_effect(
         control_values = traces.values[~treated][traces.present[~treated]]
         if not control_values.size:
             raise InsufficientDataError("no control outcomes to anchor the relative lift")
-        base = math.fsum(control_values) / control_values.size
+        try:
+            base = math.fsum(control_values) / control_values.size
+        except OverflowError:
+            raise DataFormatError(
+                "control outcomes sum past float range; cannot anchor the relative lift"
+            ) from None
     else:
         base = 1.0
     tau = spec.tau * base
     tau_prime = spec.tau_prime * base
+    if not (math.isfinite(tau) and math.isfinite(tau_prime)):
+        raise ConfigurationError(
+            f"injected lift {spec.tau} (weekend {spec.tau_prime}) times the control mean "
+            f"{base} is past float range"
+        )
 
     lifted = traces.values + tau + np.where(calendar.weekend_mask(), tau_prime, 0.0)
     return replace(

@@ -23,12 +23,16 @@ from openbounded import (
     toy_even_day_ratio,
 )
 from openbounded.analytic import (
+    ORACLE_MAX_DAYS,
     TOY_CALENDAR,
     TOY_EFFECT_DAYS,
     TOY_POLICY_BOUNDED,
     Model1Params,
     WEEKEND_SHARE,
+    _pattern_census,
 )
+from openbounded.core import PolicyKind
+from analytic_reference import pattern_census
 from conftest import P_GRID
 
 BOUNDED7 = bounded(7)
@@ -267,7 +271,7 @@ class TestToyEvenDayRatio:
 class TestEnumerationOracle:
     def test_refuses_large_windows(self):
         with pytest.raises(ConfigurationError):
-            enumeration_oracle(ExperimentCalendar(21), OPEN, 0.5)
+            enumeration_oracle(ExperimentCalendar(ORACLE_MAX_DAYS + 1), OPEN, 0.5)
 
     def test_open_weekend_share_exact(self, monday14):
         for p in (0.05, 0.4, 0.95):
@@ -335,3 +339,46 @@ class TestEnumerationOracle:
         assert oracle.ratio_over_active == pytest.approx(
             toy_even_day_ratio(TOY_POLICY_BOUNDED, p), abs=1e-12
         )
+
+
+@st.composite
+def census_cases(draw):
+    """(k, effect_mask, kind, d, deadline) for any legal census: open, or
+    bounded(d) with d < k, and every deadline up to the last one whose
+    window still fits, so the admission_deadline override is covered too."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    effect_mask = draw(st.integers(min_value=0, max_value=(1 << k) - 1))
+    d = draw(st.none() | st.integers(min_value=1, max_value=k - 1)) if k > 1 else None
+    if d is None:
+        return k, effect_mask, PolicyKind.OPEN, None, draw(st.integers(0, k))
+    return k, effect_mask, PolicyKind.BOUNDED, d, draw(st.integers(0, k - d + 1))
+
+
+class TestPatternCensus:
+    """The chunked numpy census returns exactly the tuple of the per-mask
+    Python census in ``analytic_reference``, so every oracle value keeps its bits."""
+
+    @given(census_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case):
+        assert _pattern_census(*case) == pattern_census(*case)
+
+    @pytest.mark.parametrize("kind, d, deadline", [
+        (PolicyKind.OPEN, None, 20),
+        (PolicyKind.BOUNDED, 7, 13),
+    ], ids=["open", "bounded7"])
+    def test_matches_reference_over_twenty_days(self, kind, d, deadline):
+        effect_mask = sum(1 << (t - 1) for t in ExperimentCalendar(20).weekend_days())
+        case = (20, effect_mask, kind, d, deadline)
+        assert _pattern_census(*case) == pattern_census(*case)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # 1023 masks in chunks of 7 leave a one-mask last chunk.
+        monkeypatch.setattr("openbounded.analytic._CENSUS_CHUNK", 7)
+        _pattern_census.cache_clear()
+        try:
+            for case in [(10, 0b1100000110, PolicyKind.OPEN, None, 10),
+                         (10, 0b1100000110, PolicyKind.BOUNDED, 3, 8)]:
+                assert _pattern_census(*case) == pattern_census(*case)
+        finally:
+            _pattern_census.cache_clear()

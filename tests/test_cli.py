@@ -285,6 +285,40 @@ class TestPowerCommand:
         point = json.loads(out)["curves"][0]["points"][0]
         assert point["est_p50"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("flag", ["--inject-lift", "--inject-weekend-lift"])
+    @pytest.mark.parametrize("lift", ["nan", "inf", "-inf"])
+    def test_non_finite_injected_lift_exit_usage(self, tmp_path, capsys, flag, lift):
+        log = tmp_path / "raw.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": f"u{u:03d}", "day": day, "value": 1.0}) + "\n"
+            for u in range(20) for day in (1, 6)
+        ))
+        lifts = {"--inject-lift": "0.01", flag: lift}
+        code, out, err = run_cli(
+            capsys, "power", "-i", str(log), *(f"{f}={v}" for f, v in lifts.items()),
+            "--fractions", "1.0", "--reps", "2",
+        )
+        assert code == 1 and out == ""
+        label = "weekend lift" if flag == "--inject-weekend-lift" else "injected lift"
+        assert err.startswith("error:") and err.count("\n") == 1 and label in err
+
+    @pytest.mark.parametrize("value, lift, expected", [
+        (100.0, "1e307", 1),
+        (1e308, "0.01", 2),
+    ], ids=["scaled-lift", "control-sum"])
+    def test_relative_lift_past_float_range(self, tmp_path, capsys, value, lift, expected):
+        log = tmp_path / "raw.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": f"u{u:03d}", "day": 1, "value": value}) + "\n"
+            for u in range(20)
+        ))
+        code, out, err = run_cli(
+            capsys, "power", "-i", str(log), "--inject-lift", lift,
+            "--fractions", "1.0", "--reps", "2",
+        )
+        assert code == expected and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "float range" in err
+
     def test_variantless_log_without_injection_rejected(self, tmp_path, capsys):
         log = tmp_path / "raw.jsonl"
         log.write_text('{"user_id":"u1","day":1,"value":1.0}\n')
@@ -361,6 +395,18 @@ class TestAnalyticCommand:
             assert row["oracle_bias"] == ""
             for column in ("bias_per_tau_prime", "eta", "zeta"):
                 assert math.isfinite(float(row[column]))
+
+    def test_three_week_window_has_oracle_column(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analytic", "--model", "model1", "--k", "21", "--d", "7",
+            "--p-grid", "0.2,0.8",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["policy"] for row in rows} == {"open", "bounded"}
+        for row in rows:
+            closed, oracle = float(row["bias_per_tau_prime"]), float(row["oracle_bias"])
+            assert abs(closed - oracle) <= 1e-12
 
     def test_model2_bounded_any_window(self, capsys):
         code, out, _ = run_cli(
@@ -449,6 +495,22 @@ class TestParameterChecks:
             code, stdout, err = run_cli(capsys, *argv, *sizes)
         assert code == 1 and stdout == "" and not out.exists()
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", ["model1", "model2"])
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--tau", "tau", "nan"),
+        ("--tau-prime", "tau_prime", "inf"),
+        ("--c", "c", "nan"),
+        ("--c", "c", "-inf"),
+    ])
+    def test_non_finite_outcome_term_named(self, tmp_path, capsys, model, flag, field, value):
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--model", model, f"{flag}={value}", "--n-per-arm", "5", "--ns", "1",
+            "-o", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == f"error: {field} must be a finite number, got {float(value)}\n"
 
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 767. PiB"), MemoryError()])
     def test_memory_error_exit_usage(self, capsys, monkeypatch, error):
