@@ -18,8 +18,12 @@ shows a Model 1 bias: the window's own calendar offset, (weekend days among
 
 Every closed form is an exact sum over first-active-day cohorts and holds
 for any window length k, start weekday and bounded observation length d < k.
-``enumeration_oracle`` sums over all 2^k presence patterns instead and is
-the independent check for k <= ``ORACLE_MAX_DAYS``.
+The policy's ``admission_deadline`` and ``last_day`` give each cohort's
+analysed days, so one cohort sum serves both policies in both models. The
+Model 1 closed forms hold for any p in (0, 1] whose coefficients are finite.
+``enumeration_oracle`` sums over all 2^k presence patterns instead, with its
+own bit-mask inclusion rule, and is the independent check for
+k <= ``ORACLE_MAX_DAYS``.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ class Model1Params:
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError(f"activity probability must lie in (0, 1], got {self.p}")
-        if not self.sigma >= 0.0:
-            raise ConfigurationError(f"noise level must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be a finite number >= 0, got {self.sigma}")
         _require_finite_outcome_terms(self)
 
 
@@ -83,8 +87,8 @@ class Model2Params:
     def __post_init__(self) -> None:
         if not (isinstance(self.ns, int) and self.ns >= 1):
             raise ConfigurationError(f"arrival count per day must be an integer >= 1, got {self.ns}")
-        if not self.sigma >= 0.0:
-            raise ConfigurationError(f"noise level must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be a finite number >= 0, got {self.sigma}")
         _require_finite_outcome_terms(self)
 
 
@@ -95,89 +99,59 @@ def _require_finite_outcome_terms(params: Model1Params | Model2Params) -> None:
             raise ConfigurationError(f"{name} must be a finite number, got {value}")
 
 
-def _observation_length(policy: InclusionPolicy, calendar: ExperimentCalendar) -> int | None:
-    """A bounded policy's window length, checked to admit a cohort; None for open."""
-    if policy.kind is PolicyKind.OPEN:
-        return None
-    policy.validate_for(calendar)
-    if calendar.k - policy.d < 1:
+def _cohort_windows(policy: InclusionPolicy, calendar: ExperimentCalendar) -> list[range]:
+    """Analysed days of each admitted first-active-day cohort i = 1..admission deadline."""
+    windows = [
+        range(i, policy.last_day(i, calendar) + 1)
+        for i in range(1, policy.admission_deadline(calendar) + 1)
+    ]
+    if not windows:
         raise ConfigurationError(f"no admitted cohorts with k={calendar.k}, d={policy.d}")
-    return policy.d
+    return windows
 
 
-def _bounded_engagement_moments(
-    p: float, calendar: ExperimentCalendar, d: int
-) -> tuple[float, float, float, float]:
-    """Moments of (1/n, w/n, (w/n)^2) over admitted users under Bounded(d).
-
-    n is the number of active days in the d-day window, w the active weekend
-    days among them. Decomposes by first-active-day cohort (geometric weight)
-    and, within a cohort, by binomial counts of the remaining weekday and
-    weekend activations. Exact up to float rounding.
-    """
-    k = calendar.k
-    a = k - d
-    weekend = set(calendar.weekend_days())
-    e_inv_n = e_ratio = e_ratio_sq = 0.0
-    for i in range(1, a + 1):
-        cohort_w = (1.0 - p) ** (i - 1) * p
-        window = range(i, i + d)
-        w_total = sum(1 for t in window if t in weekend)
-        w_first = 1 if i in weekend else 0
-        free_we = w_total - w_first
-        free_wd = (d - 1) - free_we
-        for j in range(free_wd + 1):
-            pj = math.comb(free_wd, j) * p**j * (1.0 - p) ** (free_wd - j)
-            for w in range(free_we + 1):
-                pw = math.comb(free_we, w) * p**w * (1.0 - p) ** (free_we - w)
-                weight = cohort_w * pj * pw
-                n_active = 1 + j + w
-                w_active = w_first + w
-                ratio = w_active / n_active
-                e_inv_n += weight / n_active
-                e_ratio += weight * ratio
-                e_ratio_sq += weight * ratio * ratio
-    admitted = 1.0 - (1.0 - p) ** a
-    return e_inv_n / admitted, e_ratio / admitted, e_ratio_sq / admitted, admitted
-
-
-def _open_engagement_moments(
-    p: float, calendar: ExperimentCalendar
-) -> tuple[float, float, float, float]:
-    """Moments of (1/n, w/n, (w/n)^2) over active users under Open.
-
-    Open always analyzes all of a user's active days, so only the binomial
-    counts of active weekdays (i) and active weekend days (j) matter.
-    """
-    k = calendar.k
-    n_weekend = len(calendar.weekend_days())
-    n_weekday = k - n_weekend
-    e_inv_n = e_ratio = e_ratio_sq = 0.0
-    for i in range(n_weekday + 1):
-        pi = math.comb(n_weekday, i) * p**i * (1.0 - p) ** (n_weekday - i)
-        for j in range(n_weekend + 1):
-            if i == 0 and j == 0:
-                continue
-            pj = math.comb(n_weekend, j) * p**j * (1.0 - p) ** (n_weekend - j)
-            weight = pi * pj
-            n_active = i + j
-            ratio = j / n_active
-            e_inv_n += weight / n_active
-            e_ratio += weight * ratio
-            e_ratio_sq += weight * ratio * ratio
-    admitted = 1.0 - (1.0 - p) ** k
-    return e_inv_n / admitted, e_ratio / admitted, e_ratio_sq / admitted, admitted
-
-
+@lru_cache(maxsize=256)
 def _model1_moments(
     policy: InclusionPolicy, p: float, calendar: ExperimentCalendar
 ) -> tuple[float, float, float, float]:
+    """E[1/n], E[w/n] and Var(w/n) over admitted users, and the admitted mass.
+
+    n counts a user's analysed active days and w the weekend days among them.
+    Cohort i, first active on day i, weighs (1-p)^(i-1) p and adds to the
+    mass of each (weekdays, weekend days) outcome the outer product of two
+    binomial pmfs over the rest of its window. Summing the cohort weights
+    keeps the admitted mass precise for any p in (0, 1]; centred terms keep
+    the variance from rounding below zero.
+    """
     if not 0.0 < p <= 1.0:
         raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
-    d = _observation_length(policy, calendar)
-    if d is None:
-        return _open_engagement_moments(p, calendar)
-    return _bounded_engagement_moments(p, calendar, d)
+    q = 1.0 - p
+    pmf = [
+        np.array([math.comb(n, j) * p**j * q ** (n - j) for j in range(n + 1)])
+        for n in range(calendar.k)
+    ]
+    weekend = set(calendar.weekend_days())
+    mass = np.zeros((calendar.k + 1, calendar.k + 1))  # [active weekdays, active weekend days]
+    cohort_weights = []
+    for window in _cohort_windows(policy, calendar):
+        cohort_w = q ** (window.start - 1) * p
+        cohort_weights.append(cohort_w)
+        w_first = 1 if window.start in weekend else 0
+        free_we = sum(1 for t in window if t in weekend) - w_first
+        free_wd = (len(window) - 1) - free_we
+        wd_first = 1 - w_first
+        mass[wd_first : wd_first + free_wd + 1, w_first : w_first + free_we + 1] += (
+            cohort_w * np.outer(pmf[free_wd], pmf[free_we])
+        )
+    weekdays, weekend_days = np.nonzero(mass)
+    weights = mass[weekdays, weekend_days]
+    n_active = weekdays + weekend_days
+    ratio = weekend_days / n_active
+    admitted = math.fsum(cohort_weights)
+    e_inv_n = math.fsum(weights / n_active) / admitted
+    e_ratio = math.fsum(weights * ratio) / admitted
+    var_ratio = math.fsum(weights * (ratio - e_ratio) ** 2) / admitted
+    return e_inv_n, e_ratio, var_ratio, admitted
 
 
 def model1_bias(
@@ -212,14 +186,18 @@ def model1_variance_coeffs(
     both coefficients carry the 1 / E[admitted users] scaling, so they halve
     when ``n_per_arm`` doubles. The noise term appears in both arms (hence
     the factor two in eta); the weekend-interaction term only varies in the
-    treatment arm.
+    treatment arm. A p so small that a coefficient overflows is refused.
     """
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
-    e_inv_n, e_ratio, e_ratio_sq, admitted = _model1_moments(policy, p, calendar)
+    e_inv_n, _, var_ratio, admitted = _model1_moments(policy, p, calendar)
     expected_users = n_per_arm * admitted
     eta = 2.0 * e_inv_n / expected_users
-    zeta = (e_ratio_sq - e_ratio * e_ratio) / expected_users
+    zeta = var_ratio / expected_users
+    if not (math.isfinite(eta) and math.isfinite(zeta)):
+        raise ConfigurationError(
+            f"activity probability p={p} admits so few users that eta or zeta overflows"
+        )
     return eta, zeta
 
 
@@ -229,15 +207,9 @@ def _model2_cohorts(
     """Weekend share and length of each admitted arrival cohort's window.
 
     A Model 2 user arriving on day i is active every day from then on, so
-    open analyses days [i, k] for i = 1..k and bounded(d) analyses
-    [i, i + d - 1] for the admitted arrivals i = 1..k - d.
+    an admitted arrival cohort's analysed days are its whole cohort window.
     """
-    d = _observation_length(policy, calendar)
-    k = calendar.k
-    if d is None:
-        windows = [range(i, k + 1) for i in range(1, k + 1)]
-    else:
-        windows = [range(i, i + d) for i in range(1, k - d + 1)]
+    windows = _cohort_windows(policy, calendar)
     weekend = set(calendar.weekend_days())
     shares = [sum(1 for t in window if t in weekend) / len(window) for window in windows]
     return shares, [len(window) for window in windows]

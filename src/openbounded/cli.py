@@ -57,7 +57,7 @@ MAX_RANGE_VALUES = 10_000
 
 
 def _parse_float_list(text: str) -> list[float]:
-    """Parse '0.1,0.2,0.5' or 'start:stop:step' (stop inclusive)."""
+    """Parse '0.1,0.2,0.5' or 'start:stop:step' (stop inclusive) into at least one value."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -80,11 +80,14 @@ def _parse_float_list(text: str) -> list[float]:
         while x <= stop + 1e-9:
             values.append(round(x, 10))
             x += step
-        return values
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot parse number list {text!r}") from exc
+    else:
+        try:
+            values = [float(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise ConfigurationError(f"cannot parse number list {text!r}") from exc
+    if not values:
+        raise ConfigurationError(f"number list {text!r} holds no values")
+    return values
 
 
 def _resolve_seed(args: argparse.Namespace) -> Seed:

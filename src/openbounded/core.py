@@ -99,7 +99,8 @@ class InclusionPolicy:
     Open includes every active user from their first active day through day
     ``k``. Bounded(d) includes only users first active on or before the
     admission deadline ``k - d``, each observed for exactly ``d`` days from
-    first activity.
+    first activity. ``admission_deadline`` and ``last_day`` are the one home
+    of that rule: the metric kernel and every closed form read them.
     """
 
     kind: PolicyKind
@@ -127,6 +128,14 @@ class InclusionPolicy:
         self.validate_for(calendar)
         if self.kind is PolicyKind.BOUNDED:
             return calendar.k - self.d
+        return calendar.k
+
+    def last_day(
+        self, first_day: DayIndex | np.ndarray, calendar: ExperimentCalendar
+    ) -> DayIndex | np.ndarray:
+        """Last analysed day of users first active on ``first_day`` (an int or int array)."""
+        if self.kind is PolicyKind.BOUNDED:
+            return first_day + self.d - 1
         return calendar.k
 
 

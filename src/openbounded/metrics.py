@@ -3,8 +3,9 @@
 The metric is a mean of means: each included user's outcomes are averaged
 over their active days inside the inclusion interval, and the group value is
 the average of those per-user means. A user first active on day t0 is
-analysed over ``[t0, k]`` under open; under bounded(d) the user is admitted
-only if ``t0 <= k - d`` and is analysed over ``[t0, t0 + d - 1]``.
+admitted when ``t0 <= policy.admission_deadline(calendar)`` and analysed
+over ``[t0, policy.last_day(t0, calendar)]``: ``[t0, k]`` under open,
+``[t0, t0 + d - 1]`` under bounded(d) with deadline ``k - d``.
 ``metric_table`` applies that rule to every user of a ``TraceTable`` at once;
 everything is deterministic for a fixed user order.
 """
@@ -22,7 +23,6 @@ from .core import (
     ExperimentCalendar,
     InclusionPolicy,
     InsufficientDataError,
-    PolicyKind,
     TraceTable,
     Variant,
 )
@@ -97,15 +97,13 @@ def metric_table(
     traces: TraceTable, policy: InclusionPolicy, calendar: ExperimentCalendar
 ) -> MetricTable:
     """Apply the inclusion rule to every user and compute per-user metrics."""
-    policy.validate_for(calendar)
     traces.require_calendar(calendar)
     present = traces.present
     active = present.any(axis=1)
     first_day = np.where(active, present.argmax(axis=1) + 1, 0)
     included = active & (first_day <= policy.admission_deadline(calendar))
-    window = present & included[:, None]
-    if policy.kind is PolicyKind.BOUNDED:
-        window &= np.arange(1, calendar.k + 1) <= (first_day + policy.d - 1)[:, None]
+    last_day = np.broadcast_to(policy.last_day(first_day, calendar), first_day.shape)
+    window = present & included[:, None] & (np.arange(1, calendar.k + 1) <= last_day[:, None])
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
     total = np.zeros(len(traces))

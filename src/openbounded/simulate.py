@@ -88,8 +88,8 @@ def _user_levels(
     rng: np.random.Generator, c: float, sigma_user: float, total: int
 ) -> np.ndarray:
     """Each user's outcome level: c, plus a Normal(0, sigma_user^2) draw when sigma_user > 0."""
-    if not sigma_user >= 0.0:
-        raise ConfigurationError(f"per-user level spread must be >= 0, got {sigma_user}")
+    if not 0.0 <= sigma_user < math.inf:
+        raise ConfigurationError(f"sigma_user must be a finite number >= 0, got {sigma_user}")
     levels = np.full(total, c)
     if sigma_user > 0.0:
         levels = levels + rng.normal(0.0, sigma_user, total)

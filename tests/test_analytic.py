@@ -135,6 +135,15 @@ class TestModel1VarianceCoeffs:
             for ratio in (0.0, 0.1, 0.5, 1.0):
                 assert eta_b + zeta_b * ratio**2 > eta_o + zeta_o * ratio**2
 
+    def test_weekend_coefficient_never_negative(self):
+        for k in range(2, 15):
+            for start in Weekday:
+                cal = ExperimentCalendar(k, start)
+                for policy in [OPEN] + [bounded(d) for d in range(1, k)]:
+                    for p in (1.0, 0.999, 0.9, 0.5, 0.2, 0.1, 0.001, 1e-6, 1e-15):
+                        _, zeta = model1_variance_coeffs(policy, p, cal)
+                        assert zeta >= 0.0, (k, start, policy, p)
+
     def test_scales_inversely_with_arm_size(self):
         eta1, zeta1 = model1_variance_coeffs(BOUNDED7, 0.4, n_per_arm=1)
         eta2, zeta2 = model1_variance_coeffs(BOUNDED7, 0.4, n_per_arm=2)
@@ -309,7 +318,8 @@ class TestEnumerationOracle:
                 st.sampled_from(list(Weekday)),
                 st.integers(min_value=1, max_value=k - 1),
                 st.booleans(),
-                st.floats(min_value=0.02, max_value=1.0, exclude_min=True),
+                # Log-uniform over [1e-12, 1]: a small p admits a small mass.
+                st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e),
             )
         )
     )
@@ -324,11 +334,10 @@ class TestEnumerationOracle:
         )
         eta, zeta = model1_variance_coeffs(policy, p, calendar=cal)
         admitted = oracle.admission_probability
-        # eta grows like 1 / admitted, so it is compared relatively.
+        # Both coefficients grow like 1 / admitted: eta is compared relatively
+        # and zeta on its 1 / admitted scale.
         assert eta == pytest.approx(2.0 * oracle.inverse_days / admitted, rel=1e-12)
-        assert zeta == pytest.approx(
-            (oracle.ratio_sq - oracle.ratio**2) / admitted, abs=1e-12
-        )
+        assert zeta * admitted == pytest.approx(oracle.ratio_sq - oracle.ratio**2, abs=1e-12)
 
     @given(st.floats(min_value=0.02, max_value=0.98))
     @settings(max_examples=20, deadline=None)

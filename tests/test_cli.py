@@ -396,6 +396,20 @@ class TestAnalyticCommand:
             for column in ("bias_per_tau_prime", "eta", "zeta"):
                 assert math.isfinite(float(row[column]))
 
+    def test_tiny_activity_probability_stays_finite(self, capsys):
+        code, out, _ = run_cli(capsys, "analytic", "--model", "model1", "--p-grid", "1e-17")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        for row in rows:
+            for column in ("bias_per_tau_prime", "eta", "zeta", "oracle_bias"):
+                assert math.isfinite(float(row[column]))
+
+    def test_coefficients_past_float_range_exit_usage(self, capsys):
+        code, out, err = run_cli(capsys, "analytic", "--model", "model1", "--p-grid", "1e-320")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "p=1e-320" in err
+
     def test_three_week_window_has_oracle_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "analytic", "--model", "model1", "--k", "21", "--d", "7",
@@ -484,6 +498,9 @@ class TestParameterChecks:
         ["power", "--model", "model1", "--fractions=-1e308:1e308:1"],
         ["power", "--model", "model1", "--fractions", "a:b:c"],
         ["analytic", "--model", "model1", "--p-grid", "0.01:1:1e-12"],
+        ["analytic", "--model", "model1", "--p-grid", ""],
+        ["analytic", "--model", "model1", "--p-grid", ","],
+        ["analytic", "--model", "model1", "--p-grid", "1:0:0.1"],
     ], ids=lambda argv: "-".join(a.removeprefix("--") for a in argv))
     def test_hostile_value_exit_usage(self, tmp_path, capsys, argv):
         out = tmp_path / "out.jsonl"
@@ -511,6 +528,17 @@ class TestParameterChecks:
         )
         assert code == 1 and stdout == "" and not out.exists()
         assert err == f"error: {field} must be a finite number, got {float(value)}\n"
+
+    @pytest.mark.parametrize("model", ["model1", "model2"])
+    @pytest.mark.parametrize("flag, field", [("--sigma", "sigma"), ("--sigma-user", "sigma_user")])
+    def test_infinite_noise_level_named(self, tmp_path, capsys, model, flag, field):
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--model", model, flag, "inf", "--n-per-arm", "5", "--ns", "1",
+            "-o", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == f"error: {field} must be a finite number >= 0, got inf\n"
 
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 767. PiB"), MemoryError()])
     def test_memory_error_exit_usage(self, capsys, monkeypatch, error):

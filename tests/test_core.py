@@ -131,6 +131,12 @@ class TestInclusionInterval:
         assert bounded(7).admission_deadline(monday14) == 7
         assert OPEN.admission_deadline(monday14) == 14
 
+    def test_last_day(self, monday14):
+        first_days = np.array([1, 3, 7])
+        assert bounded(7).last_day(3, monday14) == 9
+        assert bounded(7).last_day(first_days, monday14).tolist() == [7, 9, 13]
+        assert OPEN.last_day(3, monday14) == OPEN.last_day(first_days, monday14) == 14
+
 
 class TestUserTrace:
     """A user's trace is one row of the TraceTable."""
