@@ -20,7 +20,10 @@ Every closed form is an exact sum over first-active-day cohorts and holds
 for any window length k, start weekday and bounded observation length d < k.
 The policy's ``admission_deadline`` and ``last_day`` give each cohort's
 analysed days, so one cohort sum serves both policies in both models. The
-Model 1 closed forms hold for any p in (0, 1] whose coefficients are finite.
+models differ only in the data they pass it: Model 1 weighs cohort i by
+(1-p)^(i-1) p and activates each later day with probability p; Model 2 weighs
+every arrival cohort 1 and activates every day (p = 1). The Model 1 closed
+forms hold for any p in (0, 1] whose coefficients are finite.
 ``enumeration_oracle`` sums over all 2^k presence patterns instead, with its
 own bit-mask inclusion rule, and is the independent check for
 k <= ``ORACLE_MAX_DAYS``.
@@ -68,8 +71,6 @@ class Model1Params:
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError(f"activity probability must lie in (0, 1], got {self.p}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ConfigurationError(f"sigma must be a finite number >= 0, got {self.sigma}")
         _require_finite_outcome_terms(self)
 
 
@@ -87,71 +88,82 @@ class Model2Params:
     def __post_init__(self) -> None:
         if not (isinstance(self.ns, int) and self.ns >= 1):
             raise ConfigurationError(f"arrival count per day must be an integer >= 1, got {self.ns}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ConfigurationError(f"sigma must be a finite number >= 0, got {self.sigma}")
         _require_finite_outcome_terms(self)
 
 
 def _require_finite_outcome_terms(params: Model1Params | Model2Params) -> None:
+    if not 0.0 <= params.sigma < math.inf:
+        raise ConfigurationError(f"sigma must be a finite number >= 0, got {params.sigma}")
     for name in ("tau", "tau_prime", "c"):
         value = getattr(params, name)
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be a finite number, got {value}")
 
 
-def _cohort_windows(policy: InclusionPolicy, calendar: ExperimentCalendar) -> list[range]:
-    """Analysed days of each admitted first-active-day cohort i = 1..admission deadline."""
-    windows = [
-        range(i, policy.last_day(i, calendar) + 1)
-        for i in range(1, policy.admission_deadline(calendar) + 1)
-    ]
-    if not windows:
-        raise ConfigurationError(f"no admitted cohorts with k={calendar.k}, d={policy.d}")
-    return windows
-
-
 @lru_cache(maxsize=256)
-def _model1_moments(
-    policy: InclusionPolicy, p: float, calendar: ExperimentCalendar
+def _cohort_moments(
+    policy: InclusionPolicy, calendar: ExperimentCalendar, cohort_weights: tuple[float, ...],
+    p: float,
 ) -> tuple[float, float, float, float]:
     """E[1/n], E[w/n] and Var(w/n) over admitted users, and the admitted mass.
 
     n counts a user's analysed active days and w the weekend days among them.
-    Cohort i, first active on day i, weighs (1-p)^(i-1) p and adds to the
-    mass of each (weekdays, weekend days) outcome the outer product of two
-    binomial pmfs over the rest of its window. Summing the cohort weights
-    keeps the admitted mass precise for any p in (0, 1]; centred terms keep
-    the variance from rounding below zero.
+    Cohort i, first active on day i, weighs ``cohort_weights[i - 1]``; each
+    later analysed day is active with probability p, so the cohort adds its
+    weight times the outer product of two binomial pmfs over the rest of its
+    window to the mass of each (weekdays, weekend days) outcome. Summing the
+    cohort weights keeps the admitted mass precise for any p in (0, 1];
+    centred terms keep the variance from rounding below zero.
     """
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
-    q = 1.0 - p
-    pmf = [
-        np.array([math.comb(n, j) * p**j * q ** (n - j) for j in range(n + 1)])
-        for n in range(calendar.k)
-    ]
-    weekend = set(calendar.weekend_days())
-    mass = np.zeros((calendar.k + 1, calendar.k + 1))  # [active weekdays, active weekend days]
-    cohort_weights = []
-    for window in _cohort_windows(policy, calendar):
-        cohort_w = q ** (window.start - 1) * p
-        cohort_weights.append(cohort_w)
-        w_first = 1 if window.start in weekend else 0
-        free_we = sum(1 for t in window if t in weekend) - w_first
-        free_wd = (len(window) - 1) - free_we
-        wd_first = 1 - w_first
-        mass[wd_first : wd_first + free_wd + 1, w_first : w_first + free_we + 1] += (
-            cohort_w * np.outer(pmf[free_wd], pmf[free_we])
-        )
+    k = calendar.k
+    # Row n is the Binomial(n, p) pmf, built by convolution: every term stays a
+    # positive float for any n, and p = 1 gives exact one-hot rows.
+    pmf = [np.ones(1)]
+    for _ in range(1, k):
+        pmf.append(np.convolve(pmf[-1], (1.0 - p, p)))
+    weekend = calendar.weekend_mask()
+    weekends_through = np.concatenate(([0], np.cumsum(weekend)))  # [t]: weekend days in 1..t
+    first = np.arange(1, policy.admission_deadline(calendar) + 1)
+    if not first.size:
+        raise ConfigurationError(f"no admitted cohorts with k={k}, d={policy.d}")
+    last = policy.last_day(first, calendar)
+    we_first = weekend[first - 1].astype(int)
+    free_we = weekends_through[last] - weekends_through[first]
+    free_wd = last - first - free_we
+    mass = np.zeros((k + 1, k + 1))  # [active weekdays, active weekend days]
+    cohorts = zip(cohort_weights, we_first.tolist(), free_wd.tolist(), free_we.tolist())
+    for weight, we0, wd, we in cohorts:
+        mass[1 - we0 : 1 - we0 + wd + 1, we0 : we0 + we + 1] += weight * np.outer(pmf[wd], pmf[we])
     weekdays, weekend_days = np.nonzero(mass)
     weights = mass[weekdays, weekend_days]
     n_active = weekdays + weekend_days
     ratio = weekend_days / n_active
-    admitted = math.fsum(cohort_weights)
+    admitted = math.fsum(cohort_weights[: first.size])
     e_inv_n = math.fsum(weights / n_active) / admitted
     e_ratio = math.fsum(weights * ratio) / admitted
     var_ratio = math.fsum(weights * (ratio - e_ratio) ** 2) / admitted
     return e_inv_n, e_ratio, var_ratio, admitted
+
+
+def _variance_coeffs(
+    moments: tuple[float, float, float, float], scale: int, p: float
+) -> tuple[float, float]:
+    """(eta, zeta) over ``scale`` users per unit of admitted cohort weight."""
+    e_inv_n, _, var_ratio, admitted = moments
+    eta = 2.0 * e_inv_n / (scale * admitted)
+    zeta = var_ratio / (scale * admitted)
+    if not (math.isfinite(eta) and math.isfinite(zeta)):
+        raise ConfigurationError(
+            f"activity probability p={p} admits so few users that eta or zeta overflows"
+        )
+    return eta, zeta
+
+
+def _first_active_weights(p: float, calendar: ExperimentCalendar) -> tuple[float, ...]:
+    """Model 1's share of users first active on day i = 1..k: (1-p)^(i-1) p."""
+    if not 0.0 < p <= 1.0:
+        raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
+    return tuple((1.0 - p) ** i * p for i in range(calendar.k))
 
 
 def model1_bias(
@@ -169,7 +181,7 @@ def model1_bias(
     compete with fewer remaining weekdays; on a 14-day Monday-start window
     with d=7 the worst case over p underestimates by about 0.068 tau_prime.
     """
-    _, e_ratio, _, _ = _model1_moments(policy, p, calendar)
+    _, e_ratio, _, _ = _cohort_moments(policy, calendar, _first_active_weights(p, calendar), p)
     return (e_ratio - WEEKEND_SHARE) * tau_prime
 
 
@@ -190,29 +202,8 @@ def model1_variance_coeffs(
     """
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
-    e_inv_n, _, var_ratio, admitted = _model1_moments(policy, p, calendar)
-    expected_users = n_per_arm * admitted
-    eta = 2.0 * e_inv_n / expected_users
-    zeta = var_ratio / expected_users
-    if not (math.isfinite(eta) and math.isfinite(zeta)):
-        raise ConfigurationError(
-            f"activity probability p={p} admits so few users that eta or zeta overflows"
-        )
-    return eta, zeta
-
-
-def _model2_cohorts(
-    policy: InclusionPolicy, calendar: ExperimentCalendar
-) -> tuple[list[float], list[int]]:
-    """Weekend share and length of each admitted arrival cohort's window.
-
-    A Model 2 user arriving on day i is active every day from then on, so
-    an admitted arrival cohort's analysed days are its whole cohort window.
-    """
-    windows = _cohort_windows(policy, calendar)
-    weekend = set(calendar.weekend_days())
-    shares = [sum(1 for t in window if t in weekend) / len(window) for window in windows]
-    return shares, [len(window) for window in windows]
+    moments = _cohort_moments(policy, calendar, _first_active_weights(p, calendar), p)
+    return _variance_coeffs(moments, n_per_arm, p)
 
 
 def model2_bias(
@@ -227,8 +218,8 @@ def model2_bias(
     14-day Monday start the coefficient is about +0.19 and it shrinks as the
     window grows.
     """
-    shares, _ = _model2_cohorts(policy, calendar)
-    return math.fsum(shares) / len(shares) - WEEKEND_SHARE
+    _, e_ratio, _, _ = _cohort_moments(policy, calendar, (1.0,) * calendar.k, 1.0)
+    return e_ratio - WEEKEND_SHARE
 
 
 def model2_variance_coeffs(
@@ -247,12 +238,7 @@ def model2_variance_coeffs(
     """
     if ns < 1:
         raise ConfigurationError(f"arrival count per day must be >= 1, got {ns}")
-    shares, lengths = _model2_cohorts(policy, calendar)
-    n = len(shares)
-    mean_share = math.fsum(shares) / n
-    eta = 2.0 * math.fsum(1.0 / length for length in lengths) / (n * n * ns)
-    zeta = math.fsum((r - mean_share) ** 2 for r in shares) / (n * n * ns)
-    return eta, zeta
+    return _variance_coeffs(_cohort_moments(policy, calendar, (1.0,) * calendar.k, 1.0), ns, 1.0)
 
 
 def toy_even_day_ratio(policy: InclusionPolicy, p: float) -> float:

@@ -110,12 +110,7 @@ def _policies(args: argparse.Namespace) -> list[InclusionPolicy]:
     names = args.policy or ["open", "bounded"]
     out = []
     for name in names:
-        if name == "open":
-            policy = OPEN
-        elif name == "bounded":
-            policy = bounded(args.d)
-        else:
-            raise ConfigurationError(f"unknown policy {name!r}")
+        policy = OPEN if name == "open" else bounded(args.d)
         if policy not in out:
             out.append(policy)
     return out
@@ -214,29 +209,15 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return buf.getvalue()
 
 
-def _model_params(args: argparse.Namespace, calendar: ExperimentCalendar):
-    if args.model == "model1":
-        return Model1Params(
-            p=args.p, tau=args.tau, tau_prime=args.tau_prime, sigma=args.sigma,
-            c=args.c, calendar=calendar,
-        )
-    if args.model == "model2":
-        return Model2Params(
-            ns=args.ns, tau=args.tau, tau_prime=args.tau_prime, sigma=args.sigma,
-            c=args.c, calendar=calendar,
-        )
-    raise ConfigurationError(f"unknown model {args.model!r}")
-
-
 def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, seed: Seed):
-    params = _model_params(args, calendar)
+    terms = dict(tau=args.tau, tau_prime=args.tau_prime, sigma=args.sigma, c=args.c,
+                 calendar=calendar)
+    draws = dict(sigma_user=args.sigma_user, noise_kind=args.noise)
     if args.model == "model1":
-        return params, simulate_model1(
-            params, args.n_per_arm, seed, sigma_user=args.sigma_user, noise_kind=args.noise
-        )
-    return params, simulate_model2(
-        params, seed, sigma_user=args.sigma_user, noise_kind=args.noise
-    )
+        params = Model1Params(p=args.p, **terms)
+        return params, simulate_model1(params, args.n_per_arm, seed, **draws)
+    params = Model2Params(ns=args.ns, **terms)
+    return params, simulate_model2(params, seed, **draws)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -454,10 +435,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     policies = _policies(args)
     if args.model == "model1":
         header, rows = _analytic_model1_rows(args, calendar, policies)
-    elif args.model == "model2":
-        header, rows = _analytic_model2_rows(args, calendar, policies)
     else:
-        raise ConfigurationError(f"unknown model {args.model!r}")
+        header, rows = _analytic_model2_rows(args, calendar, policies)
     if args.format == "json":
         text = _json_document(
             {

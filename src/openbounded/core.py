@@ -73,11 +73,11 @@ class ExperimentCalendar:
         return self.weekday_of(t) in (Weekday.SATURDAY, Weekday.SUNDAY)
 
     def weekend_days(self) -> tuple[DayIndex, ...]:
-        return tuple(t for t in self.days() if self.is_weekend(t))
+        return tuple((np.flatnonzero(self.weekend_mask()) + 1).tolist())
 
     def weekend_mask(self) -> np.ndarray:
         """Bool array over days ``1..k``: True on Saturdays and Sundays."""
-        return np.array([self.is_weekend(t) for t in self.days()], dtype=bool)
+        return (self.start_dow + np.arange(self.k)) % 7 >= Weekday.SATURDAY
 
     def days(self) -> range:
         return range(1, self.k + 1)

@@ -4,6 +4,10 @@ Every generator is deterministic: the same parameters and seed always
 produce the same trace collection, byte for byte after serialization. Each
 user's randomness occupies a fixed block (one matrix row) keyed by user
 index, so a user's draws never depend on other users' activity.
+
+Both population models share one body: each model builds only its presence
+matrix and arm size, and ``_simulated_table`` draws the per-user levels and
+the day-level noise and adds the treatment effect.
 """
 
 from __future__ import annotations
@@ -84,34 +88,29 @@ def _noise_matrix(
     raise ConfigurationError(f"unknown noise kind: {kind!r}")
 
 
-def _user_levels(
-    rng: np.random.Generator, c: float, sigma_user: float, total: int
-) -> np.ndarray:
-    """Each user's outcome level: c, plus a Normal(0, sigma_user^2) draw when sigma_user > 0."""
-    if not 0.0 <= sigma_user < math.inf:
-        raise ConfigurationError(f"sigma_user must be a finite number >= 0, got {sigma_user}")
-    levels = np.full(total, c)
-    if sigma_user > 0.0:
-        levels = levels + rng.normal(0.0, sigma_user, total)
-    return levels
-
-
+# Overflow is caught by the finiteness check below, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def _simulated_table(
-    presence: np.ndarray,
-    levels: np.ndarray,
-    noise: np.ndarray,
-    effect: np.ndarray,
-    n_treated: int,
+    params: Model1Params | Model2Params, presence: np.ndarray, n_treated: int,
+    rng: np.random.Generator, sigma_user: float, noise_kind: NoiseKind,
 ) -> TraceTable:
     """Users ``u0000000``, ... with the first ``n_treated`` in treatment.
 
-    Outcomes past float range raise ConfigurationError: the parameters
-    cannot describe a log.
+    Draws each user's level (c, plus a Normal(0, sigma_user^2) draw when
+    sigma_user > 0) and then the day-level noise from ``rng``, and adds tau
+    plus tau_prime on weekend days to treatment outcomes. Outcomes past
+    float range raise ConfigurationError: the parameters cannot describe a
+    log.
     """
-    total = presence.shape[0]
-    values = noise
+    if not 0.0 <= sigma_user < math.inf:
+        raise ConfigurationError(f"sigma_user must be a finite number >= 0, got {sigma_user}")
+    total, k = presence.shape
+    levels = np.full(total, params.c)
+    if sigma_user > 0.0:
+        levels = levels + rng.normal(0.0, sigma_user, total)
+    values = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
     values += levels[:, None]
-    values[:n_treated] += effect
+    values[:n_treated] += params.tau + params.tau_prime * params.calendar.weekend_mask()
     np.copyto(values, 0.0, where=~presence)
     if not np.isfinite(values).all():
         user, column = np.argwhere(~np.isfinite(values))[0]
@@ -127,8 +126,6 @@ def _simulated_table(
     )
 
 
-# Overflow is caught by _simulated_table's finiteness check, not warned about.
-@np.errstate(over="ignore", invalid="ignore")
 def simulate_model1(
     params: Model1Params,
     n_per_arm: int,
@@ -143,24 +140,16 @@ def simulate_model1(
     control users. Active-day outcomes are c (optionally per-user
     heterogeneous with spread ``sigma_user``) plus the treatment effect and
     a fresh noise draw per user-day. Users who never show up are emitted
-    with no active days and fall out of any downstream analysis.
+    with no active days and fall out of any downstream analysis. Presence
+    is drawn first, then levels and noise.
     """
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
-    calendar = params.calendar
-    k = calendar.k
-    total = 2 * n_per_arm
     rng = seed.generator()
-    presence = rng.random((total, k)) < params.p
-    levels = _user_levels(rng, params.c, sigma_user, total)
-    noise = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
-
-    effect = params.tau + params.tau_prime * calendar.weekend_mask()
-    return _simulated_table(presence, levels, noise, effect, n_per_arm)
+    presence = rng.random((2 * n_per_arm, params.calendar.k)) < params.p
+    return _simulated_table(params, presence, n_per_arm, rng, sigma_user, noise_kind)
 
 
-# Overflow is caught by _simulated_table's finiteness check, not warned about.
-@np.errstate(over="ignore", invalid="ignore")
 def simulate_model2(
     params: Model2Params,
     seed: Seed,
@@ -172,20 +161,14 @@ def simulate_model2(
     present every remaining day.
 
     Per arm there are ``k * ns`` users; the user arriving on day i is active
-    on exactly days i..k. Outcome structure matches ``simulate_model1``.
+    on exactly days i..k. Presence draws nothing, so levels and noise are
+    the only draws. Outcome structure matches ``simulate_model1``.
     """
-    calendar = params.calendar
-    k = calendar.k
+    k = params.calendar.k
     per_arm = k * params.ns
-    total = 2 * per_arm
-    rng = seed.generator()
-    levels = _user_levels(rng, params.c, sigma_user, total)
-    noise = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
-
-    arrival = (np.arange(total) % per_arm) // params.ns + 1
+    arrival = (np.arange(2 * per_arm) % per_arm) // params.ns + 1
     presence = np.arange(1, k + 1) >= arrival[:, None]
-    effect = params.tau + params.tau_prime * calendar.weekend_mask()
-    return _simulated_table(presence, levels, noise, effect, per_arm)
+    return _simulated_table(params, presence, per_arm, seed.generator(), sigma_user, noise_kind)
 
 
 def strip_variants(traces: TraceTable) -> TraceTable:

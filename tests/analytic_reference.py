@@ -1,11 +1,20 @@
-"""The per-mask Python census that the chunked numpy census replaced, kept as a reference.
+"""Python references for code in ``analytic`` that numpy or a shared sum replaced.
 
-It walks all 2^k presence masks one at a time with ``int.bit_count`` and a
-dict of counts. ``analytic._pattern_census`` must return exactly the same
-tuple for every calendar, effect-day set, policy and admission deadline.
+``pattern_census`` walks all 2^k presence masks one at a time with
+``int.bit_count`` and a dict of counts. ``analytic._pattern_census`` must
+return exactly the same tuple for every calendar, effect-day set, policy and
+admission deadline.
+
+``model2_bias`` and ``model2_variance_coeffs`` are the per-cohort Model 2
+formulas from before Model 2 became the shared cohort sum with weight 1 and
+p = 1: each admitted arrival cohort's weekend share and window length,
+summed with ``math.fsum``.
 """
 
-from openbounded.core import PolicyKind
+import math
+
+from openbounded.analytic import WEEKEND_SHARE
+from openbounded.core import ExperimentCalendar, InclusionPolicy, PolicyKind
 
 
 def pattern_census(
@@ -34,3 +43,31 @@ def pattern_census(
         key = (total_active, analyzed.bit_count(), (analyzed & effect_mask).bit_count())
         census[key] = census.get(key, 0) + 1
     return tuple((*key, count) for key, count in sorted(census.items())), tuple(excluded)
+
+
+def _model2_cohorts(
+    policy: InclusionPolicy, calendar: ExperimentCalendar
+) -> tuple[list[float], list[int]]:
+    """Weekend share and length of each admitted arrival cohort's window."""
+    windows = [
+        range(i, policy.last_day(i, calendar) + 1)
+        for i in range(1, policy.admission_deadline(calendar) + 1)
+    ]
+    shares = [sum(1 for t in window if calendar.is_weekend(t)) / len(window) for window in windows]
+    return shares, [len(window) for window in windows]
+
+
+def model2_bias(policy: InclusionPolicy, calendar: ExperimentCalendar) -> float:
+    shares, _ = _model2_cohorts(policy, calendar)
+    return math.fsum(shares) / len(shares) - WEEKEND_SHARE
+
+
+def model2_variance_coeffs(
+    policy: InclusionPolicy, calendar: ExperimentCalendar, ns: int
+) -> tuple[float, float]:
+    shares, lengths = _model2_cohorts(policy, calendar)
+    n = len(shares)
+    mean_share = math.fsum(shares) / n
+    eta = 2.0 * math.fsum(1.0 / length for length in lengths) / (n * n * ns)
+    zeta = math.fsum((r - mean_share) ** 2 for r in shares) / (n * n * ns)
+    return eta, zeta

@@ -32,6 +32,7 @@ from openbounded.analytic import (
     _pattern_census,
 )
 from openbounded.core import PolicyKind
+import analytic_reference
 from analytic_reference import pattern_census
 from conftest import P_GRID
 
@@ -247,6 +248,31 @@ class TestModel2:
         assert res.delta - WEEKEND_SHARE * 2.0 == pytest.approx(
             model2_bias(OPEN) * 2.0, rel=1e-12
         )
+
+
+@st.composite
+def model2_cases(draw):
+    """(calendar, policy, ns): any window up to 60 days, open or any d < k."""
+    k = draw(st.integers(min_value=1, max_value=60))
+    calendar = ExperimentCalendar(k, draw(st.sampled_from(list(Weekday))))
+    d = draw(st.none() | st.integers(min_value=1, max_value=k - 1)) if k > 1 else None
+    return calendar, OPEN if d is None else bounded(d), draw(st.integers(1, 100))
+
+
+class TestModel2Reference:
+    """Model 2 as the shared cohort sum (weight 1 per arrival cohort, p = 1)
+    agrees with the per-cohort share formulas in ``analytic_reference``."""
+
+    @given(model2_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cohort_formulas(self, case):
+        calendar, policy, ns = case
+        assert model2_bias(policy, calendar) == pytest.approx(
+            analytic_reference.model2_bias(policy, calendar), rel=0, abs=1e-15
+        )
+        coeffs = model2_variance_coeffs(policy, calendar, ns=ns)
+        expected = analytic_reference.model2_variance_coeffs(policy, calendar, ns)
+        assert coeffs == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestToyEvenDayRatio:

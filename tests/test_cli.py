@@ -410,6 +410,20 @@ class TestAnalyticCommand:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "p=1e-320" in err
 
+    @pytest.mark.parametrize("model", ["model1", "model2"])
+    def test_thousand_day_window_stays_finite(self, capsys, model):
+        # Binomial coefficients past 1029 choose j exceed float range; the pmf
+        # rows are built by convolution so no term ever does.
+        code, out, err = run_cli(
+            capsys, "analytic", "--model", model, "--k", "1100", "--p-grid", "0.5", "--no-oracle",
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["policy"] for row in rows} == {"open", "bounded"}
+        for row in rows:
+            for column in ("bias_per_tau_prime", "eta", "zeta"):
+                assert math.isfinite(float(row[column]))
+
     def test_three_week_window_has_oracle_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "analytic", "--model", "model1", "--k", "21", "--d", "7",
@@ -586,6 +600,8 @@ class TestConfigResolution:
             {"no_oracle": "yes"},
             {"policy": "open"},
             {"policy": ["open", "closed"]},
+            {"policy": ["x"]},
+            {"model": "model3"},
             {"command": "simulate"},
         ],
     )
@@ -597,6 +613,24 @@ class TestConfigResolution:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flags, overrides", [
+        ("simulate", ["--model", "model1"], {"model": "model3"}),
+        ("power", ["--model", "model1"], {"model": "model3"}),
+        ("analyze", ["-i", "x.jsonl"], {"policy": ["x"]}),
+        ("power", ["-i", "x.jsonl"], {"policy": ["x"]}),
+    ])
+    def test_config_value_outside_choices_rejected(
+        self, tmp_path, capsys, command, flags, overrides
+    ):
+        # The config reader refuses these before any command could meet an
+        # unknown model or policy name.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, *flags, "--config", str(cfg), "-o", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: config option") and err.count("\n") == 1
 
     def test_config_text_converted_like_a_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

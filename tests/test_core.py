@@ -43,6 +43,15 @@ class TestCalendar:
         cal = ExperimentCalendar(k=7 * weeks, start_dow=start)
         assert len(cal.weekend_days()) == 2 * weeks
 
+    def test_weekend_mask_matches_per_day_rule(self):
+        for start in Weekday:
+            for k in range(1, 31):
+                cal = ExperimentCalendar(k, start)
+                per_day = [cal.is_weekend(t) for t in cal.days()]
+                assert cal.weekend_mask().dtype == bool
+                assert cal.weekend_mask().tolist() == per_day
+                assert cal.weekend_days() == tuple(t for t in cal.days() if per_day[t - 1])
+
     def test_length_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             ExperimentCalendar(k=0)

@@ -24,7 +24,7 @@ GOLDEN = {
     "power.csv":
         "f8f94df3a2261f9fcc966d06b975df89bf92a814eb19618bed000b60a8da0fc3",
     "table.csv":
-        "8a7568df04f6393024e7a8293bb0bbdc9c26aba65a6806ddf0d94733e3beab5c",
+        "247b1af37247583cc7d4d75486af83defda81b7e0ae5c944e41233d03c618534",
     "model2.csv":
         "a1da614e46ec486129609ccfe1c73309c8499f374c38c79f52cf99cdb0273835",
     "inject.json":
