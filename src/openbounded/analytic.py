@@ -116,11 +116,16 @@ def _cohort_moments(
     centred terms keep the variance from rounding below zero.
     """
     k = calendar.k
-    # Row n is the Binomial(n, p) pmf, built by convolution: every term stays a
-    # positive float for any n, and p = 1 gives exact one-hot rows.
+    # Row n is the Binomial(n, p) pmf, built by convolution. spans[n] keeps its
+    # terms from the first nonzero one to the last, and where they start: the
+    # rest are exact zeros, so leaving them out keeps the sum's bits.
     pmf = [np.ones(1)]
     for _ in range(1, k):
         pmf.append(np.convolve(pmf[-1], (1.0 - p, p)))
+    spans = []
+    for row in pmf:
+        nonzero = np.flatnonzero(row)
+        spans.append((nonzero[0], row[nonzero[0] : nonzero[-1] + 1]))
     weekend = calendar.weekend_mask()
     weekends_through = np.concatenate(([0], np.cumsum(weekend)))  # [t]: weekend days in 1..t
     first = np.arange(1, policy.admission_deadline(calendar) + 1)
@@ -133,7 +138,9 @@ def _cohort_moments(
     mass = np.zeros((k + 1, k + 1))  # [active weekdays, active weekend days]
     cohorts = zip(cohort_weights, we_first.tolist(), free_wd.tolist(), free_we.tolist())
     for weight, we0, wd, we in cohorts:
-        mass[1 - we0 : 1 - we0 + wd + 1, we0 : we0 + we + 1] += weight * np.outer(pmf[wd], pmf[we])
+        (i, wd_row), (j, we_row) = spans[wd], spans[we]
+        i, j = i + 1 - we0, j + we0
+        mass[i : i + wd_row.size, j : j + we_row.size] += weight * np.outer(wd_row, we_row)
     weekdays, weekend_days = np.nonzero(mass)
     weights = mass[weekdays, weekend_days]
     n_active = weekdays + weekend_days

@@ -43,6 +43,10 @@ from .simulate import Seed
 # simulators' stream) and ``Seed.generator(0)`` are the same stream, so
 # repetition r draws from ``generator(_SUBSAMPLE_STREAM, r)`` instead.
 _SUBSAMPLE_STREAM = 1
+# Most (repetition, fraction, policy) cells a sweep may hold. Each holds six
+# floats of subsample moments, so this caps them at 480 MB; a larger request
+# is refused before anything is allocated.
+MAX_SWEEP_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -305,6 +309,12 @@ def compare_policies(
         raise ConfigurationError(f"significance level must lie in (0, 1), got {alpha}")
     if not policies:
         raise ConfigurationError("at least one policy is required")
+    cells = repetitions * len(fracs) * len(policies)
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigurationError(
+            f"{repetitions} repetitions x {len(fracs)} fractions x {len(policies)} policies "
+            f"make {cells} sweep cells, more than the {MAX_SWEEP_CELLS} a sweep may hold"
+        )
     tables = [metric_table(traces, policy, calendar) for policy in policies]
     return tuple(
         _sweep(tables, list(policies), len(traces), fracs, repetitions, alpha, seed, test)

@@ -32,6 +32,11 @@ from .core import (
 
 NoiseKind = Literal["normal", "lognormal"]
 
+# Most user-day cells a simulator builds. Its presence and value matrices take
+# 9 bytes a cell, and the noise draw 8 more, so this caps a run near 2 GB; a
+# larger request is refused before anything is allocated.
+MAX_TRACE_CELLS = 100_000_000
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -126,6 +131,14 @@ def _simulated_table(
     )
 
 
+def _require_cells(users: int, k: int) -> None:
+    if users * k > MAX_TRACE_CELLS:
+        raise ConfigurationError(
+            f"{users} users over {k} days make {users * k} user-day cells, "
+            f"more than the {MAX_TRACE_CELLS} a simulation may hold"
+        )
+
+
 def simulate_model1(
     params: Model1Params,
     n_per_arm: int,
@@ -145,6 +158,7 @@ def simulate_model1(
     """
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
+    _require_cells(2 * n_per_arm, params.calendar.k)
     rng = seed.generator()
     presence = rng.random((2 * n_per_arm, params.calendar.k)) < params.p
     return _simulated_table(params, presence, n_per_arm, rng, sigma_user, noise_kind)
@@ -166,6 +180,7 @@ def simulate_model2(
     """
     k = params.calendar.k
     per_arm = k * params.ns
+    _require_cells(2 * per_arm, k)
     arrival = (np.arange(2 * per_arm) % per_arm) // params.ns + 1
     presence = np.arange(1, k + 1) >= arrival[:, None]
     return _simulated_table(params, presence, per_arm, seed.generator(), sigma_user, noise_kind)

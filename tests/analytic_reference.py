@@ -9,9 +9,16 @@ admission deadline.
 formulas from before Model 2 became the shared cohort sum with weight 1 and
 p = 1: each admitted arrival cohort's weekend share and window length,
 summed with ``math.fsum``.
+
+``dense_cohort_moments`` is ``analytic._cohort_moments`` as it was before each
+cohort added only the nonzero span of its pmf rows: every cohort adds the
+outer product of its two whole rows. The trimmed sum must return exactly the
+same tuple.
 """
 
 import math
+
+import numpy as np
 
 from openbounded.analytic import WEEKEND_SHARE
 from openbounded.core import ExperimentCalendar, InclusionPolicy, PolicyKind
@@ -71,3 +78,34 @@ def model2_variance_coeffs(
     eta = 2.0 * math.fsum(1.0 / length for length in lengths) / (n * n * ns)
     zeta = math.fsum((r - mean_share) ** 2 for r in shares) / (n * n * ns)
     return eta, zeta
+
+
+def dense_cohort_moments(
+    policy: InclusionPolicy, calendar: ExperimentCalendar, cohort_weights: tuple[float, ...],
+    p: float,
+) -> tuple[float, float, float, float]:
+    """E[1/n], E[w/n] and Var(w/n) over admitted users, and the admitted mass."""
+    k = calendar.k
+    pmf = [np.ones(1)]
+    for _ in range(1, k):
+        pmf.append(np.convolve(pmf[-1], (1.0 - p, p)))
+    weekend = calendar.weekend_mask()
+    weekends_through = np.concatenate(([0], np.cumsum(weekend)))
+    first = np.arange(1, policy.admission_deadline(calendar) + 1)
+    last = policy.last_day(first, calendar)
+    we_first = weekend[first - 1].astype(int)
+    free_we = weekends_through[last] - weekends_through[first]
+    free_wd = last - first - free_we
+    mass = np.zeros((k + 1, k + 1))
+    cohorts = zip(cohort_weights, we_first.tolist(), free_wd.tolist(), free_we.tolist())
+    for weight, we0, wd, we in cohorts:
+        mass[1 - we0 : 1 - we0 + wd + 1, we0 : we0 + we + 1] += weight * np.outer(pmf[wd], pmf[we])
+    weekdays, weekend_days = np.nonzero(mass)
+    weights = mass[weekdays, weekend_days]
+    n_active = weekdays + weekend_days
+    ratio = weekend_days / n_active
+    admitted = math.fsum(cohort_weights[: first.size])
+    e_inv_n = math.fsum(weights / n_active) / admitted
+    e_ratio = math.fsum(weights * ratio) / admitted
+    var_ratio = math.fsum(weights * (ratio - e_ratio) ** 2) / admitted
+    return e_inv_n, e_ratio, var_ratio, admitted

@@ -29,6 +29,8 @@ from openbounded.analytic import (
     TOY_POLICY_BOUNDED,
     Model1Params,
     WEEKEND_SHARE,
+    _cohort_moments,
+    _first_active_weights,
     _pattern_census,
 )
 from openbounded.core import PolicyKind
@@ -273,6 +275,24 @@ class TestModel2Reference:
         coeffs = model2_variance_coeffs(policy, calendar, ns=ns)
         expected = analytic_reference.model2_variance_coeffs(policy, calendar, ns)
         assert coeffs == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+class TestCohortMomentsReference:
+    """Adding only each pmf row's nonzero span keeps the bits of the dense sum."""
+
+    @given(
+        model2_cases(),
+        st.one_of(st.sampled_from([None, 1.0, 1e-200, 1e-300]), st.floats(1e-6, 1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_sum(self, case, p):
+        calendar, policy, _ = case
+        if p is None:  # Model 2
+            weights, p = (1.0,) * calendar.k, 1.0
+        else:
+            weights = _first_active_weights(p, calendar)
+        assert _cohort_moments(policy, calendar, weights, p) == \
+            analytic_reference.dense_cohort_moments(policy, calendar, weights, p)
 
 
 class TestToyEvenDayRatio:

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from openbounded import cli
+from openbounded import cli, power, simulate
 from openbounded.cli import main
 
 
@@ -553,6 +553,31 @@ class TestParameterChecks:
         )
         assert code == 1 and stdout == "" and not out.exists()
         assert err == f"error: {field} must be a finite number >= 0, got inf\n"
+
+    @pytest.mark.parametrize("argv, module, allocators", [
+        (["power", "--model", "model1", "--n-per-arm", "10", "--reps", str(10**15)],
+         power, ("np", "metric_table")),
+        (["simulate", "--model", "model1", "--n-per-arm", str(10**12)], simulate, ("np",)),
+        (["simulate", "--model", "model2", "--ns", str(10**12)], simulate, ("np",)),
+    ], ids=["power-reps", "simulate-model1", "simulate-model2"])
+    def test_oversized_request_refused(self, tmp_path, capsys, monkeypatch, argv, module,
+                                       allocators):
+        """The refusal comes before the module asks numpy for anything."""
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} reached before the size check")
+
+            def __call__(self, *args, **kwargs):
+                raise AssertionError("allocation reached before the size check")
+
+        for name in allocators:
+            monkeypatch.setattr(module, name, Unreachable())
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "-o", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "may hold" in err
 
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 767. PiB"), MemoryError()])
     def test_memory_error_exit_usage(self, capsys, monkeypatch, error):

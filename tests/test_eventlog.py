@@ -19,6 +19,8 @@ from openbounded import (
     write_event_log,
     OPEN,
 )
+from openbounded import eventlog
+from openbounded.cli import main
 from openbounded.eventlog import WRITE_CHUNK_ROWS, sidecar_path, write_metadata
 from conftest import VARIANT_CODES, make_table, user_rows
 from eventlog_reference import read_reference
@@ -137,6 +139,37 @@ class TestWriter:
         ]
         assert path.read_bytes() == "".join(expected).encode("utf-8")
 
+    def test_plain_ascii_lines_are_canonical(self, tmp_path):
+        values = (*self.VALUES, 1e16, 1e-05, 0.5e-4, 123456789.125, -1e300)
+        printable = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
+        ids = ["u1", printable, " ", "~"]
+        traces = TraceTable(
+            user_ids=ids,
+            variants=np.array([1, 0, -1, 1], dtype=np.int8),
+            present=np.ones((len(ids), len(values)), dtype=bool),
+            values=np.tile(values, (len(ids), 1)),
+        )
+        path = tmp_path / "log.jsonl"
+        n_rows = write_event_log(path, traces)
+        text = path.read_text(encoding="utf-8")
+        assert "1e+16" in text and "1e-05" in text and "1.7976931348623157e+308" in text
+        assert len(eventlog._CANONICAL_LINE.findall(text)) == n_rows == len(values) * len(ids)
+
+    def test_simulated_log_takes_the_canonical_path(self, tmp_path, monkeypatch, monday14):
+        path = tmp_path / "events.jsonl"
+        assert main([
+            "simulate", "--model", "model1", "--p", "0.2", "--c", "100", "--sigma", "65",
+            "--tau", "1", "--n-per-arm", "600", "--seed", "61", "-o", str(path),
+        ]) == 0
+
+        def per_line_decode(*args):
+            raise AssertionError("a line written by simulate fell back to the per-line decode")
+
+        monkeypatch.setattr(eventlog, "_decode_lines", per_line_decode)
+        traces, report = read_event_log(path, monday14, require_variant=True)
+        assert report.total_rows > eventlog.READ_CHUNK_LINES
+        assert report.accepted_rows == report.total_rows == int(traces.present.sum())
+
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_value_refused(self, tmp_path, value):
         traces = make_table([("u1", "T", {1: 1.0}), ("u2", "C", {3: value})])
@@ -182,6 +215,39 @@ RAW_LINES = st.sampled_from([
 ])
 
 
+CANONICAL_LINES = st.fixed_dictionaries({
+    "user_id": st.sampled_from(["u1", "u2", "a b"]),
+    "day": st.one_of(st.integers(1, 3), st.sampled_from([15, 999_999_999])),
+    "value": st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 1e308])),
+    "variant": st.sampled_from(["T", "C", None]),
+}).map(lambda row: json.dumps(row, sort_keys=True, separators=(",", ":")))
+# Lines one spelling away from canonical, which send their chunk to the per-line
+# decode, and canonical lines that no writer makes.
+NEAR_CANONICAL_LINES = st.sampled_from([
+    '{"day":3,"user_id":"u2","value":1e999,"variant":"C"}',
+    '{"day":3,"user_id":"u2","value":-1.5e-999,"variant":"C"}',
+    '{"day":1,"user_id":"u1","value":-0,"variant":"T"}',
+    '{"day":2,"user_id":"u2","value":5,"variant":"C"}',
+    '{"day":1,"user_id":"u1","value":' + "1" * 5000 + ',"variant":"T"}',
+    '{"day":1,"user_id":"u1","value":' + "1" * 30 + '.5,"variant":"T"}',
+    '{"day":0,"user_id":"u1","value":1.0,"variant":"T"}',
+    '{"day":1e1,"user_id":"u1","value":1.0,"variant":"T"}',
+    '{"day":01,"user_id":"u1","value":1.0,"variant":"T"}',
+    '{"day":1234567890,"user_id":"u1","value":1.0,"variant":"T"}',
+    '{"day":1,"user_id":"u\\u0031","value":1.0,"variant":"C"}',
+    '{"day":1,"user_id":"u\\"1","value":1.0,"variant":"C"}',
+    '{"day":1,"user_id":"\u00fc","value":1.0,"variant":"C"}',
+    '{"day":1,"user_id":"","value":1.0,"variant":"C"}',
+    '{"day": 1,"user_id":"u1","value":1.0,"variant":"T"}',
+    ' {"day":1,"user_id":"u1","value":1.0,"variant":"T"}',
+    '{"user_id":"u2","day":3,"value":2.5,"variant":"T"}',
+    '{"day":2,"user_id":"u1","value":1.0,"variant":"X"}',
+    '{"day":2,"user_id":"u1","value":1.0}',
+    '\ufeff{"day":1,"user_id":"u1","value":1.0,"variant":"T"}',
+    "",
+])
+
+
 def _jsonl_line(item):
     return item if isinstance(item, str) else json.dumps(item)
 
@@ -202,6 +268,24 @@ class TestMatchesReferenceReader:
     def test_jsonl(self, tmp_path_factory, items, newline, bom):
         text = ("\ufeff" if bom else "") + "".join(_jsonl_line(item) + newline for item in items)
         self._check(tmp_path_factory.mktemp("log") / "log.jsonl", text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.one_of(CANONICAL_LINES, CANONICAL_LINES, CANONICAL_LINES, NEAR_CANONICAL_LINES),
+                st.sampled_from(["\n"] * 8 + ["\r\n", "\r", ""]),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_jsonl_canonical_chunks(self, tmp_path_factory, lines):
+        """Chunks of three lines, so canonical and per-line chunks mix and each
+        user's variant is carried from one chunk to the next."""
+        text = "".join(line + newline for line, newline in lines)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eventlog, "READ_CHUNK_LINES", 3)
+            self._check(tmp_path_factory.mktemp("log") / "log.jsonl", text)
 
     @settings(max_examples=150, deadline=None)
     @given(
