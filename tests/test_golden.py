@@ -29,6 +29,12 @@ GOLDEN = {
         "a1da614e46ec486129609ccfe1c73309c8499f374c38c79f52cf99cdb0273835",
     "inject.json":
         "f31f8cbcf590a31bd71860fab51ff1457a1cd1240d8e77c430b8d950cb368d1c",
+    "report.csv":
+        "290dd5bf8e3958267a47000a482264fe2c1c83764a8a2bc14b83ad5d95d9211f",
+    "table.json":
+        "20bedcc3feb9ebf9fd602387459a705a235fb339b68e0dd5bfedae5b01cd9c92",
+    "stdout.json":
+        "da29fc6f88ec4cf528a087eeb9192cfa6fb95ba077a687062c610809f7869045",
 }
 
 
@@ -50,6 +56,9 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
          "--seed", "42", "--format", "csv", "-o", "power.csv"],
         ["analytic", "--model", "model1", "--p-grid", "0.2,0.5", "-o", "table.csv"],
         ["analytic", "--model", "model2", "-o", "model2.csv"],
+        ["analyze", "-i", "events.jsonl", "--format", "csv", "-o", "report.csv"],
+        ["analytic", "--model", "model1", "--p-grid", "0.2,0.5", "--format", "json",
+         "-o", "table.json"],
     ]
     for argv in commands:
         assert main(argv) == 0, argv
@@ -57,5 +66,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     assert main(["power", "-i", "raw.jsonl", "--inject-lift", "0.01", "--fractions", "0.5,1.0",
                  "--reps", "40", "--seed", "42", "--format", "json", "-o", "inject.json"]) == 0
     capsys.readouterr()
+    assert main(["analyze", "-i", "events.jsonl", "--test", "welch", "-o", "-"]) == 0
+    Path("stdout.json").write_bytes(capsys.readouterr().out.encode("utf-8"))
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in GOLDEN}
     assert digests == GOLDEN
