@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 malformed data,
 3 structurally valid but insufficient data. Errors print a single
-``error: ...`` line to stderr. Every output document embeds the resolved
-configuration, the seed, and the tool version; rerunning a command with the
-same configuration produces byte-identical files.
+``error: ...`` line to stderr. ``simulate`` writes an event log; every other
+command returns a ``Report`` that ``_write_report`` alone writes, as CSV or as
+JSON embedding the resolved configuration and the tool version. Rerunning a
+command with the same configuration produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from typing import Sequence
 
 from . import __version__
@@ -42,7 +44,7 @@ from .core import (
 )
 from .eventlog import read_event_log, write_event_log, write_metadata
 from .metrics import TestKind, delta_estimate, delta_from_samples, metric_table
-from .power import compare_policies
+from .power import PowerCurvePoint, compare_policies
 from .simulate import EffectKind, EffectSpec, Seed, inject_effect, simulate_model1, simulate_model2
 
 EXIT_OK = 0
@@ -54,6 +56,10 @@ SEED_ENV_VAR = "OPENBOUNDED_SEED"
 REJECT_ERROR_FRACTION = 0.10
 # Most values a start:stop:step range may expand to.
 MAX_RANGE_VALUES = 10_000
+
+# A report command's value: the CSV header, its rows, and the command's own
+# JSON sections (JSON adds "config" and "tool_version").
+Report = tuple[list[str], list[list[object]], dict]
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -188,18 +194,6 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _json_document(payload: dict) -> str:
-    return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-
-
 def _csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -207,6 +201,21 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     for row in rows:
         writer.writerow(["" if v is None else v for v in _sanitize(row)])
     return buf.getvalue()
+
+
+def _write_report(args: argparse.Namespace, report: Report) -> None:
+    """Write a report to stdout or ``--output`` as CSV or as JSON."""
+    header, rows, sections = report
+    if args.format == "csv":
+        text = _csv_document(header, rows)
+    else:
+        payload = {"config": _config_dict(args), "tool_version": __version__, **sections}
+        text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, seed: Seed):
@@ -220,7 +229,7 @@ def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, see
     return params, simulate_model2(params, seed, **draws)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> None:
     calendar = _calendar(args)
     seed = _resolve_seed(args)
     params, traces = _simulate_traces(args, calendar, seed)
@@ -249,7 +258,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise DataFormatError(f"cannot write event log {args.output}: {exc}") from exc
     print(f"wrote {rows} rows for {len(traces)} users to {args.output}", file=sys.stderr)
-    return EXIT_OK
 
 
 def _load_traces(args: argparse.Namespace, calendar: ExperimentCalendar, require_variant: bool):
@@ -269,53 +277,26 @@ def _load_traces(args: argparse.Namespace, calendar: ExperimentCalendar, require
     return traces, report
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> Report:
     calendar = _calendar(args)
     policies = _policies(args)
     test = TestKind(args.test)
     traces, report = _load_traces(args, calendar, require_variant=True)
-    results = []
+    header = ["policy", "d", "delta", "variance", "n_treatment", "n_control",
+              "n_included", "statistic", "p_value", "gamma"]
+    rows = []
     for policy in policies:
         table = metric_table(traces, policy, calendar)
         res = delta_from_samples(table.arm_values(1), table.arm_values(0), policy, test)
-        results.append(
-            {
-                "policy": policy.label,
-                "d": policy.d,
-                "delta": res.delta,
-                "variance": res.variance,
-                "n_treatment": res.n_treatment,
-                "n_control": res.n_control,
-                "n_included": res.n_treatment + res.n_control,
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-                "gamma": table.gamma(),
-            }
-        )
-    if args.format == "csv":
-        header = [
-            "policy", "d", "delta", "variance", "n_treatment", "n_control",
-            "n_included", "statistic", "p_value", "gamma",
-        ]
-        text = _csv_document(header, [[r[h] for h in header] for r in results])
-    else:
-        text = _json_document(
-            {
-                "config": _config_dict(args),
-                "tool_version": __version__,
-                "ingest": {
-                    "total_rows": report.total_rows,
-                    "accepted_rows": report.accepted_rows,
-                    "rejected": report.rejected,
-                },
-                "results": results,
-            }
-        )
-    _emit(text, args.output)
-    return EXIT_OK
+        rows.append([
+            policy.label, policy.d, res.delta, res.variance, res.n_treatment, res.n_control,
+            res.n_treatment + res.n_control, res.statistic, res.p_value, table.gamma(),
+        ])
+    results = [dict(zip(header, row)) for row in rows]
+    return header, rows, {"ingest": asdict(report), "results": results}
 
 
-def cmd_power(args: argparse.Namespace) -> int:
+def cmd_power(args: argparse.Namespace) -> Report:
     calendar = _calendar(args)
     policies = _policies(args)
     seed = _resolve_seed(args)
@@ -354,43 +335,19 @@ def cmd_power(args: argparse.Namespace) -> int:
         traces, calendar, fractions,
         repetitions=args.reps, alpha=args.alpha, seed=seed, test=test, policies=policies,
     )
-    header = [
-        "policy", "fraction", "power", "power_se", "est_p05", "est_p50", "est_p95",
-        "n_effective_treatment", "n_effective_control", "degenerate_repetitions",
-    ]
-    curve_rows = [
-        [
-            [
-                curve.policy.label, pt.fraction, pt.power, pt.power_se,
-                pt.est_p05, pt.est_p50, pt.est_p95,
-                pt.n_effective_treatment, pt.n_effective_control, pt.degenerate_repetitions,
-            ]
-            for pt in curve.points
-        ]
+    header = ["policy", *(column.name for column in fields(PowerCurvePoint))]
+    rows = [[curve.policy.label, *astuple(pt)] for curve in curves for pt in curve.points]
+    summaries = [
+        {
+            "policy": curve.policy.label,
+            "d": curve.policy.d,
+            "alpha": curve.alpha,
+            "repetitions": curve.repetitions,
+            "points": [asdict(pt) for pt in curve.points],
+        }
         for curve in curves
     ]
-    if args.format == "csv":
-        text = _csv_document(header, [row for rows in curve_rows for row in rows])
-    else:
-        text = _json_document(
-            {
-                "config": _config_dict(args),
-                "seed": seed.base,
-                "tool_version": __version__,
-                "curves": [
-                    {
-                        "policy": curve.policy.label,
-                        "d": curve.policy.d,
-                        "alpha": curve.alpha,
-                        "repetitions": curve.repetitions,
-                        "points": [dict(zip(header[1:], row[1:])) for row in rows],
-                    }
-                    for curve, rows in zip(curves, curve_rows)
-                ],
-            }
-        )
-    _emit(text, args.output)
-    return EXIT_OK
+    return header, rows, {"seed": seed.base, "curves": summaries}
 
 
 def _analytic_model1_rows(args: argparse.Namespace, calendar: ExperimentCalendar, policies):
@@ -430,25 +387,14 @@ def _analytic_model2_rows(args: argparse.Namespace, calendar: ExperimentCalendar
     return ["model", "policy", "k", "bias_per_tau_prime", "eta", "zeta", "oracle_bias"], rows
 
 
-def cmd_analytic(args: argparse.Namespace) -> int:
+def cmd_analytic(args: argparse.Namespace) -> Report:
     calendar = _calendar(args)
     policies = _policies(args)
     if args.model == "model1":
         header, rows = _analytic_model1_rows(args, calendar, policies)
     else:
         header, rows = _analytic_model2_rows(args, calendar, policies)
-    if args.format == "json":
-        text = _json_document(
-            {
-                "config": _config_dict(args),
-                "tool_version": __version__,
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-        )
-    else:
-        text = _csv_document(header, rows)
-    _emit(text, args.output)
-    return EXIT_OK
+    return header, rows, {"rows": [dict(zip(header, row)) for row in rows]}
 
 
 def _add_calendar_flags(sub: argparse.ArgumentParser) -> None:
@@ -557,7 +503,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         _apply_config_file(args, parser)
-        return args.func(args)
+        report = args.func(args)
+        if report is not None:
+            _write_report(args, report)
+        return EXIT_OK
     except ConfigurationError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except MemoryError as exc:
