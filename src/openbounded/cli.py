@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .analytic import (
@@ -94,6 +94,23 @@ def _parse_float_list(text: str) -> list[float]:
     if not values:
         raise ConfigurationError(f"number list {text!r} holds no values")
     return values
+
+
+def _finite(label: str, minimum: float = -math.inf) -> Callable[[str], float]:
+    """The ``type=`` of every float flag, and so of its ``--config`` value: refuses
+    text that is not a finite number >= ``minimum`` whether or not a command reads it."""
+
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigurationError(f"{label} must be a number, got {text!r}") from None
+        if not (math.isfinite(value) and value >= minimum):
+            bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+            raise ConfigurationError(f"{label} must be a finite number{bound}, got {value}")
+        return value
+
+    return convert
 
 
 def _resolve_seed(args: argparse.Namespace) -> Seed:
@@ -416,12 +433,15 @@ def _add_model_flags(sub: argparse.ArgumentParser, require_model: bool) -> None:
     sub.add_argument("--model", choices=["model1", "model2"], required=require_model, default=None)
     sub.add_argument("--n-per-arm", type=int, default=1000, help="model1 users per arm")
     sub.add_argument("--ns", type=int, default=100, help="model2 arrivals per day per arm")
-    sub.add_argument("--p", type=float, default=0.5, help="model1 daily activity probability")
-    sub.add_argument("--tau", type=float, default=0.0, help="base treatment effect")
-    sub.add_argument("--tau-prime", type=float, default=0.0, help="extra weekend effect")
-    sub.add_argument("--sigma", type=float, default=1.0, help="day-level noise std dev")
-    sub.add_argument("--c", type=float, default=0.0, help="common control outcome level")
-    sub.add_argument("--sigma-user", type=float, default=0.0,
+    sub.add_argument("--p", type=_finite("p"), default=0.5,
+                     help="model1 daily activity probability")
+    sub.add_argument("--tau", type=_finite("tau"), default=0.0, help="base treatment effect")
+    sub.add_argument("--tau-prime", type=_finite("tau_prime"), default=0.0,
+                     help="extra weekend effect")
+    sub.add_argument("--sigma", type=_finite("sigma", 0.0), default=1.0,
+                     help="day-level noise std dev")
+    sub.add_argument("--c", type=_finite("c"), default=0.0, help="common control outcome level")
+    sub.add_argument("--sigma-user", type=_finite("sigma_user", 0.0), default=0.0,
                      help="spread of per-user outcome levels (default 0: homogeneous)")
     sub.add_argument("--noise", choices=["normal", "lognormal"], default="normal",
                      help="day-level noise family (lognormal for heavy-tail stress tests)")
@@ -459,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     pwr.add_argument("--fractions", default="0.1:1.0:0.1",
                      help="comma list or start:stop:step (default 0.1:1.0:0.1)")
     pwr.add_argument("--reps", type=int, default=500, help="repetitions per fraction")
-    pwr.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    pwr.add_argument("--alpha", type=_finite("alpha"), default=0.05, help="significance level")
     pwr.add_argument("--test", choices=["z", "welch"], default="z")
     pwr.add_argument("--format", choices=["json", "csv"], default="json")
-    pwr.add_argument("--inject-lift", type=float, default=None,
+    pwr.add_argument("--inject-lift", type=_finite("injected lift"), default=None,
                      help="treatment lift to inject into a variant-less log")
-    pwr.add_argument("--inject-weekend-lift", type=float, default=0.0,
+    pwr.add_argument("--inject-weekend-lift", type=_finite("injected weekend lift"), default=0.0,
                      help="extra weekend lift to inject")
     pwr.add_argument("--inject-absolute", action="store_true",
                      help="treat injected lifts as absolute instead of relative")
@@ -499,14 +519,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
         _apply_config_file(args, parser)
         report = args.func(args)
         if report is not None:
             _write_report(args, report)
         return EXIT_OK
+    except SystemExit as exc:
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except ConfigurationError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except MemoryError as exc:

@@ -554,6 +554,36 @@ class TestParameterChecks:
         assert code == 1 and stdout == "" and not out.exists()
         assert err == f"error: {field} must be a finite number >= 0, got inf\n"
 
+    FLOAT_FLAGS = ["--p", "--tau", "--tau-prime", "--sigma", "--c", "--sigma-user", "--alpha",
+                   "--inject-lift", "--inject-weekend-lift"]
+
+    @pytest.mark.parametrize("path", ["flag", "config"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("flag", FLOAT_FLAGS)
+    def test_non_finite_float_flag_exit_usage(self, tmp_path, capsys, flag, value, path):
+        """Every float flag is checked, even where the command never reads it:
+        an --input power run reads no model flag."""
+        log = tmp_path / "raw.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": f"u{u:03d}", "day": day, "value": 1.0 + u}) + "\n"
+            for u in range(20) for day in (1, 6)
+        ))
+        out = tmp_path / "out.json"
+        argv = ["power", "-i", str(log), "--inject-lift", "0.01", "--fractions", "1.0",
+                "--reps", "2", "-o", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        out.unlink()
+        if path == "flag":
+            argv.append(f"{flag}={value}")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag.removeprefix("--"): value}))
+            argv += ["--config", str(cfg)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a finite number" in err
+
     @pytest.mark.parametrize("argv, module, allocators", [
         (["power", "--model", "model1", "--n-per-arm", "10", "--reps", str(10**15)],
          power, ("np", "metric_table")),
