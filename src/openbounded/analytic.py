@@ -43,6 +43,7 @@ from .core import (
     InclusionPolicy,
     PolicyKind,
     Weekday,
+    require_cells,
 )
 
 WEEKEND_SHARE = 2.0 / 7.0
@@ -170,7 +171,14 @@ def _first_active_weights(p: float, calendar: ExperimentCalendar) -> tuple[float
     """Model 1's share of users first active on day i = 1..k: (1-p)^(i-1) p."""
     if not 0.0 < p <= 1.0:
         raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
+    require_cells(calendar.k + 1, calendar.k + 1, "the outcome mass")
     return tuple((1.0 - p) ** i * p for i in range(calendar.k))
+
+
+def _arrival_weights(calendar: ExperimentCalendar) -> tuple[float, ...]:
+    """Model 2's weight of the cohort arriving on day i = 1..k: 1."""
+    require_cells(calendar.k + 1, calendar.k + 1, "the outcome mass")
+    return (1.0,) * calendar.k
 
 
 def model1_bias(
@@ -225,7 +233,7 @@ def model2_bias(
     14-day Monday start the coefficient is about +0.19 and it shrinks as the
     window grows.
     """
-    _, e_ratio, _, _ = _cohort_moments(policy, calendar, (1.0,) * calendar.k, 1.0)
+    _, e_ratio, _, _ = _cohort_moments(policy, calendar, _arrival_weights(calendar), 1.0)
     return e_ratio - WEEKEND_SHARE
 
 
@@ -245,7 +253,8 @@ def model2_variance_coeffs(
     """
     if ns < 1:
         raise ConfigurationError(f"arrival count per day must be >= 1, got {ns}")
-    return _variance_coeffs(_cohort_moments(policy, calendar, (1.0,) * calendar.k, 1.0), ns, 1.0)
+    moments = _cohort_moments(policy, calendar, _arrival_weights(calendar), 1.0)
+    return _variance_coeffs(moments, ns, 1.0)
 
 
 def toy_even_day_ratio(policy: InclusionPolicy, p: float) -> float:

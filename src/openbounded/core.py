@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 DayIndex = int
+# Most cells of one dense matrix: users x days of a trace table, or the
+# analytic engine's (k+1) x (k+1) outcome mass. A simulation takes 17 bytes a
+# cell, so this caps a run near 2 GB; a larger request is refused before
+# anything is allocated.
+MAX_TRACE_CELLS = 100_000_000
 
 
 class ExperimentError(Exception):
@@ -29,6 +34,14 @@ class DataFormatError(ExperimentError):
 
 class InsufficientDataError(ExperimentError):
     """Valid input that is too small for the requested computation."""
+
+
+def require_cells(rows: int, columns: int, what: str) -> None:
+    if rows * columns > MAX_TRACE_CELLS:
+        raise ConfigurationError(
+            f"{what} of {rows} x {columns} cells is larger than the "
+            f"{MAX_TRACE_CELLS} cells one matrix may hold"
+        )
 
 
 class Weekday(enum.IntEnum):

@@ -27,7 +27,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .core import DataFormatError, ExperimentCalendar, TraceTable
+from .core import DataFormatError, ExperimentCalendar, TraceTable, require_cells
 
 SCHEMA_VERSION = 1
 
@@ -272,6 +272,7 @@ def build_traces(columns: LogColumns, calendar: ExperimentCalendar) -> TraceTabl
 
     Same-day rows whose sum is not finite fail the whole log with DataFormatError.
     """
+    require_cells(len(columns.row_of), calendar.k, "the users x days matrix")
     ids = list(columns.row_of)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     user_ids = [ids[row] for row in order]

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from openbounded import cli, power, simulate
+from openbounded import analytic, cli, eventlog, power, simulate
 from openbounded.cli import main
 
 
@@ -589,7 +589,10 @@ class TestParameterChecks:
          power, ("np", "metric_table")),
         (["simulate", "--model", "model1", "--n-per-arm", str(10**12)], simulate, ("np",)),
         (["simulate", "--model", "model2", "--ns", str(10**12)], simulate, ("np",)),
-    ], ids=["power-reps", "simulate-model1", "simulate-model2"])
+        (["analytic", "--model", "model1", "--k", "10000"], analytic, ("np",)),
+        (["analytic", "--model", "model2", "--k", "10000"], analytic, ("np",)),
+    ], ids=["power-reps", "simulate-model1", "simulate-model2", "analytic-model1",
+            "analytic-model2"])
     def test_oversized_request_refused(self, tmp_path, capsys, monkeypatch, argv, module,
                                        allocators):
         """The refusal comes before the module asks numpy for anything."""
@@ -605,6 +608,27 @@ class TestParameterChecks:
             monkeypatch.setattr(module, name, Unreachable())
         out = tmp_path / "out"
         code, stdout, err = run_cli(capsys, *argv, "-o", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "may hold" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "power"])
+    def test_oversized_log_window_refused(self, tmp_path, capsys, monkeypatch, command):
+        """A log read with a huge --k is refused before its users x days matrix exists."""
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} reached before the size check")
+
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": f"{arm}{u}", "day": 1, "variant": arm, "value": 1.0}) + "\n"
+            for arm in "TC" for u in range(3)
+        ))
+        monkeypatch.setattr(eventlog, "np", Unreachable())
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, "-i", str(log), "--k", str(10**9),
+                                    "-o", str(out))
         assert code == 1 and stdout == "" and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "may hold" in err
