@@ -200,6 +200,21 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         setattr(args, dest, _config_value(actions[dest], key, value))
 
 
+# The report fields that may be blank (null in JSON, an empty CSV cell) on a
+# run that exits 0, and why. ``_sanitize`` blanks NaN and inf without a word,
+# so a blank anywhere else in a report is a fault. Config values are null only
+# for options left unset.
+REPORT_BLANKS = {
+    "d": "the open policy takes no observation length",
+    "oracle_bias": f"k above ORACLE_MAX_DAYS ({ORACLE_MAX_DAYS}), --no-oracle, "
+                   "or a Model 2 check refused for a window admitting one cohort",
+    "statistic": "+-inf: the estimated variance is 0 and the delta is not",
+    "est_p05": "every repetition at the fraction is degenerate",
+    "est_p50": "every repetition at the fraction is degenerate",
+    "est_p95": "every repetition at the fraction is degenerate",
+}
+
+
 def _sanitize(obj):
     """Make a payload strictly JSON-serializable (finite floats or null)."""
     if isinstance(obj, float):
