@@ -207,6 +207,23 @@ class TestModel2:
             _, zeta = model2_variance_coeffs(policy, cal)
             assert zeta == pytest.approx(res.variance * (n - 1) / n, abs=1e-12)
 
+    @pytest.mark.parametrize("policy", [OPEN, bounded(5)], ids=["open", "bounded5"])
+    def test_zeta_is_the_estimated_variance_not_a_spread(self, monday14, policy):
+        # Each arm gets exactly ns arrivals a day, so without noise the cohort
+        # mix, and so delta, is the same for every seed. Zeta is the weekend
+        # term of the variance the test estimates, not a spread of delta.
+        ns, tau_prime = 50, 2.0
+        _, zeta = model2_variance_coeffs(policy, monday14, ns=ns)
+        params = Model2Params(ns=ns, tau_prime=tau_prime, sigma=0.0, calendar=monday14)
+        results = [
+            delta_estimate(simulate_model2(params, Seed(seed)), policy, monday14)
+            for seed in range(4)
+        ]
+        assert zeta > 0.0 and len({res.delta for res in results}) == 1
+        for res in results:
+            n = res.n_treatment
+            assert res.variance == pytest.approx(zeta * tau_prime**2 * n / (n - 1), rel=1e-12)
+
     def test_bounded_window_must_admit_a_cohort(self, monday14):
         for d in (14, 20):
             with pytest.raises(ConfigurationError):
