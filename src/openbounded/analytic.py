@@ -248,9 +248,9 @@ def model2_variance_coeffs(
     Over n admitted arrival cohorts of ``ns`` users each, eta is twice the
     mean inverse window length over n ns (noise enters both arms) and zeta
     is the spread of the cohorts' weekend shares over n^2 ns: bounded(d) has
-    eta = 2 / (d (k - d) ns), and zeta = 0 for whole weeks. Zeta is a spread
-    of delta only under random arrivals: with exactly ns a day, as simulated,
-    delta spreads by eta sigma^2 alone.
+    eta = 2 / (d (k - d) ns), and zeta = 0 when d is a whole number of weeks.
+    With exactly ``ns`` arrivals a day, as simulated, delta spreads by eta
+    sigma^2 alone; zeta is a spread of delta only when arrivals are random.
     """
     if ns < 1:
         raise ConfigurationError(f"arrival count per day must be >= 1, got {ns}")

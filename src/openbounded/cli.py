@@ -209,9 +209,8 @@ REPORT_BLANKS = {
     "oracle_bias": f"k above ORACLE_MAX_DAYS ({ORACLE_MAX_DAYS}), --no-oracle, "
                    "or a Model 2 check refused for a window admitting one cohort",
     "statistic": "+-inf: the estimated variance is 0 and the delta is not",
-    "est_p05": "every repetition at the fraction is degenerate",
-    "est_p50": "every repetition at the fraction is degenerate",
-    "est_p95": "every repetition at the fraction is degenerate",
+    **dict.fromkeys(("est_p05", "est_p50", "est_p95"),
+                    "every repetition at the fraction is degenerate"),
 }
 
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DayIndex = int
-# Most cells of one dense matrix (users x days, or the analytic (k+1)^2 mass);
-# a simulation takes 17 bytes a cell, so about 2 GB. A larger request is
-# refused before anything is allocated.
+# Most cells of one dense matrix: users x days of a trace table, or the
+# analytic engine's (k+1) x (k+1) outcome mass. A simulation takes 17 bytes a
+# cell, so this caps a run near 2 GB; a larger request is refused before
+# anything is allocated.
 MAX_TRACE_CELLS = 100_000_000
 
 

@@ -33,6 +33,7 @@ from .core import (
 
 NoiseKind = Literal["normal", "lognormal"]
 
+
 @dataclass(frozen=True)
 class Seed:
     """Reproducibility root. Child streams are pure functions of (base, indices)."""
