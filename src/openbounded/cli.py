@@ -189,7 +189,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             overrides = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a digit-limit int, deep nesting, non-UTF-8
         raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigurationError("config file must hold a JSON object")

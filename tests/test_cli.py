@@ -21,6 +21,16 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class Unreachable:
+    """Stands in for an allocator: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} reached before the size check")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("allocation reached before the size check")
+
+
 class TestSimulateCommand:
     def test_model2_row_and_user_counts(self, tmp_path, capsys):
         out = tmp_path / "m2.jsonl"
@@ -596,14 +606,6 @@ class TestParameterChecks:
     def test_oversized_request_refused(self, tmp_path, capsys, monkeypatch, argv, module,
                                        allocators):
         """The refusal comes before the module asks numpy for anything."""
-
-        class Unreachable:
-            def __getattr__(self, name):
-                raise AssertionError(f"{name} reached before the size check")
-
-            def __call__(self, *args, **kwargs):
-                raise AssertionError("allocation reached before the size check")
-
         for name in allocators:
             monkeypatch.setattr(module, name, Unreachable())
         out = tmp_path / "out"
@@ -615,11 +617,6 @@ class TestParameterChecks:
     @pytest.mark.parametrize("command", ["analyze", "power"])
     def test_oversized_log_window_refused(self, tmp_path, capsys, monkeypatch, command):
         """A log read with a huge --k is refused before its users x days matrix exists."""
-
-        class Unreachable:
-            def __getattr__(self, name):
-                raise AssertionError(f"{name} reached before the size check")
-
         log = tmp_path / "log.jsonl"
         log.write_text("".join(
             json.dumps({"user_id": f"{arm}{u}", "day": 1, "variant": arm, "value": 1.0}) + "\n"
@@ -692,6 +689,20 @@ class TestConfigResolution:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [
+        b'{"k": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000,
+        b"\xff\xfe{}",
+    ], ids=["huge-integer", "deep-nesting", "not-utf8"])
+    def test_unreadable_config_file_rejected(self, tmp_path, capsys, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        code, out, err = run_cli(
+            capsys, "analytic", "--model", "model1", "--p-grid", "0.5", "--config", str(cfg),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: config file") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, flags, overrides", [
         ("simulate", ["--model", "model1"], {"model": "model3"}),
