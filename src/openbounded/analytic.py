@@ -41,7 +41,6 @@ from .core import (
     ConfigurationError,
     ExperimentCalendar,
     InclusionPolicy,
-    PolicyKind,
     Weekday,
     require_cells,
 )
@@ -209,6 +208,9 @@ def model1_variance_coeffs(
 ) -> tuple[float, float]:
     """Coefficients (eta, zeta) with E[Var(delta)] = eta sigma^2 + zeta tau_prime^2.
 
+    In Model 1 users are independent, so this is both the spread of delta
+    over repeated experiments and the mean estimated variance, up to the
+    gap between E[1/N] and 1/E[N] over the random admitted count N.
     Covers the two-arm design with ``n_per_arm`` users assigned to each arm;
     both coefficients carry the 1 / E[admitted users] scaling, so they halve
     when ``n_per_arm`` doubles. The noise term appears in both arms (hence
@@ -269,7 +271,7 @@ def toy_even_day_ratio(policy: InclusionPolicy, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ConfigurationError(f"activity probability must lie in (0, 1], got {p}")
-    if policy.kind is PolicyKind.OPEN:
+    if policy.d is None:
         return 0.5
     numerator = (
         0.5 * p**2
@@ -282,7 +284,7 @@ def toy_even_day_ratio(policy: InclusionPolicy, p: float) -> float:
 
 TOY_CALENDAR = ExperimentCalendar(k=4, start_dow=Weekday.MONDAY)
 TOY_EFFECT_DAYS = (2, 4)
-TOY_POLICY_BOUNDED = InclusionPolicy(PolicyKind.BOUNDED, d=2)
+TOY_POLICY_BOUNDED = InclusionPolicy(d=2)
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,7 @@ class OracleExpectation:
 
 @lru_cache(maxsize=64)
 def _pattern_census(
-    k: int, effect_mask: int, kind: PolicyKind, d: int | None, deadline: int
+    k: int, effect_mask: int, d: int | None, deadline: int
 ) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
     """Group the 2^k presence patterns by (total active, analyzed, effect) counts.
 
@@ -326,7 +328,7 @@ def _pattern_census(
         admitted = t0 <= deadline
         excluded += np.bincount(total_active[~admitted], minlength=radix)
         masks, total_active, t0 = masks[admitted], total_active[admitted], t0[admitted]
-        if kind is PolicyKind.BOUNDED:
+        if d is not None:
             masks &= ((1 << d) - 1) << (t0 - 1)
         analyzed = _popcount(masks, k)
         key = (total_active * radix + analyzed) * radix + _popcount(masks & effect_mask, k)
@@ -378,11 +380,11 @@ def enumeration_oracle(
         calendar.require_day(t)
         effect_mask |= 1 << (t - 1)
     deadline = policy.admission_deadline(calendar) if admission_deadline is None else admission_deadline
-    if policy.kind is PolicyKind.BOUNDED and deadline > k - policy.d + 1:
+    if policy.d is not None and deadline > k - policy.d + 1:
         raise ConfigurationError(
             f"admission deadline {deadline} would push a {policy.d}-day window past day {k}"
         )
-    groups, excluded = _pattern_census(k, effect_mask, policy.kind, policy.d, deadline)
+    groups, excluded = _pattern_census(k, effect_mask, policy.d, deadline)
 
     pow_p = [p**a for a in range(k + 1)]
     pow_q = [(1.0 - p) ** a for a in range(k + 1)]

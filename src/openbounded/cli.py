@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 malformed data,
 3 structurally valid but insufficient data. Errors print a single
-``error: ...`` line to stderr. ``simulate`` writes an event log; every other
-command returns a ``Report`` that ``_write_report`` alone writes, as CSV or as
-JSON embedding the resolved configuration and the tool version. Rerunning a
-command with the same configuration produces byte-identical files.
+``error: ...`` line to stderr, also for the parser's own errors.
+``simulate`` writes an event log and its sidecar to the path ``-o`` names;
+every other command returns a ``Report`` that ``_write_report`` alone writes,
+as CSV or as JSON embedding the resolved configuration and the tool version.
+Rerunning a command with the same configuration produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _policies(args: argparse.Namespace) -> list[InclusionPolicy]:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "config"}
+    skip = {"func", "config", "warning"}
     out = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:
@@ -261,6 +262,8 @@ def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, see
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
+    if args.output == "-":
+        raise ConfigurationError("simulate writes a log and its sidecar: give a path with -o")
     calendar = _calendar(args)
     seed = _resolve_seed(args)
     params, traces = _simulate_traces(args, calendar, seed)
@@ -297,14 +300,11 @@ def _load_traces(args: argparse.Namespace, calendar: ExperimentCalendar, require
         raise InsufficientDataError(f"event log {args.input} holds no rows")
     if report.n_rejected:
         detail = ", ".join(f"{k}={v}" for k, v in sorted(report.rejected.items()))
+        summary = f"rejected {report.n_rejected}/{report.total_rows} rows ({detail})"
         if report.reject_fraction > REJECT_ERROR_FRACTION:
-            raise DataFormatError(
-                f"rejected {report.n_rejected}/{report.total_rows} rows ({detail})"
-            )
-        print(
-            f"warning: rejected {report.n_rejected}/{report.total_rows} rows ({detail})",
-            file=sys.stderr,
-        )
+            raise DataFormatError(summary)
+        # Printed by ``main`` once the command succeeds: a failed run prints its error alone.
+        args.warning = summary
     return traces, report
 
 
@@ -318,7 +318,7 @@ def cmd_analyze(args: argparse.Namespace) -> Report:
     rows = []
     for policy in policies:
         table = metric_table(traces, policy, calendar)
-        res = delta_from_samples(table.arm_values(1), table.arm_values(0), policy, test)
+        res = delta_from_samples(table.arm_values(1), table.arm_values(0), test)
         rows.append([
             policy.label, policy.d, res.delta, res.variance, res.n_treatment, res.n_control,
             res.n_treatment + res.n_control, res.statistic, res.p_value, table.gamma(),
@@ -435,12 +435,14 @@ def _add_calendar_flags(sub: argparse.ArgumentParser) -> None:
                      help="bounded observation length in days (read only by the bounded policy)")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(
+    sub: argparse.ArgumentParser, output_help: str = "report path ('-' = stdout)"
+) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--config", default=None,
                      help="JSON file whose values override the flags")
-    sub.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+    sub.add_argument("--output", "-o", default="-", help=output_help)
 
 
 def _add_model_flags(sub: argparse.ArgumentParser, require_model: bool) -> None:
@@ -461,8 +463,15 @@ def _add_model_flags(sub: argparse.ArgumentParser, require_model: bool) -> None:
                      help="day-level noise family (lognormal for heavy-tail stress tests)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, and so its subparsers' errors, are one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openbounded",
         description="Compare open and bounded data-inclusion policies for experiment analysis.",
     )
@@ -472,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="generate a synthetic event log")
     _add_model_flags(sim, require_model=True)
     _add_calendar_flags(sim)
-    _add_common_flags(sim)
+    _add_common_flags(sim, "event log path, required; the sidecar <path>.meta.json goes beside it")
     sim.set_defaults(func=cmd_simulate)
 
     ana = subs.add_parser("analyze", help="estimate the treatment effect from an event log")
@@ -537,6 +546,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = args.func(args)
         if report is not None:
             _write_report(args, report)
+        if getattr(args, "warning", None):
+            print(f"warning: {args.warning}", file=sys.stderr)
         return EXIT_OK
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

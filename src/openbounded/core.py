@@ -62,11 +62,6 @@ class Weekday(enum.IntEnum):
         raise ConfigurationError(f"unknown weekday: {name!r}")
 
 
-class Variant(enum.Enum):
-    TREATMENT = "T"
-    CONTROL = "C"
-
-
 @dataclass(frozen=True)
 class ExperimentCalendar:
     """Experiment window of ``k`` days whose first day falls on ``start_dow``."""
@@ -100,38 +95,30 @@ class ExperimentCalendar:
             raise ConfigurationError(f"day {t} outside experiment window 1..{self.k}")
 
 
-class PolicyKind(enum.Enum):
-    OPEN = "open"
-    BOUNDED = "bounded"
-
-
 @dataclass(frozen=True)
 class InclusionPolicy:
-    """Which user-days enter the analysis.
+    """Which user-days enter the analysis: the observation length ``d``.
 
-    Open includes every active user from their first active day through day
-    ``k``. Bounded(d) includes only users first active on or before the
-    admission deadline ``k - d``, each observed for exactly ``d`` days from
-    first activity. ``admission_deadline`` and ``last_day`` are the one home
-    of that rule: the metric kernel and every closed form read them.
+    ``d=None`` is open: every active user is included from their first
+    active day through day ``k``. An int ``d >= 1`` is bounded(d): only users
+    first active on or before the admission deadline ``k - d`` are included,
+    each observed for exactly ``d`` days from first activity.
+    ``admission_deadline`` and ``last_day`` are the one home of that rule:
+    the metric kernel and every closed form read them.
     """
 
-    kind: PolicyKind
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is PolicyKind.BOUNDED:
-            if self.d is None or self.d < 1:
-                raise ConfigurationError("bounded policy requires an observation length d >= 1")
-        elif self.d is not None:
-            raise ConfigurationError("open policy takes no observation length")
+        if self.d is not None and self.d < 1:
+            raise ConfigurationError("bounded policy requires an observation length d >= 1")
 
     @property
     def label(self) -> str:
-        return self.kind.value
+        return "open" if self.d is None else "bounded"
 
     def validate_for(self, calendar: ExperimentCalendar) -> None:
-        if self.kind is PolicyKind.BOUNDED and self.d > calendar.k:
+        if self.d is not None and self.d > calendar.k:
             raise ConfigurationError(
                 f"observation length d={self.d} exceeds experiment length k={calendar.k}"
             )
@@ -139,24 +126,24 @@ class InclusionPolicy:
     def admission_deadline(self, calendar: ExperimentCalendar) -> DayIndex:
         """Last first-active day admitted: ``k - d`` for bounded, ``k`` for open."""
         self.validate_for(calendar)
-        if self.kind is PolicyKind.BOUNDED:
-            return calendar.k - self.d
-        return calendar.k
+        if self.d is None:
+            return calendar.k
+        return calendar.k - self.d
 
     def last_day(
         self, first_day: DayIndex | np.ndarray, calendar: ExperimentCalendar
     ) -> DayIndex | np.ndarray:
         """Last analysed day of users first active on ``first_day`` (an int or int array)."""
-        if self.kind is PolicyKind.BOUNDED:
-            return first_day + self.d - 1
-        return calendar.k
+        if self.d is None:
+            return calendar.k
+        return first_day + self.d - 1
 
 
-OPEN = InclusionPolicy(PolicyKind.OPEN)
+OPEN = InclusionPolicy()
 
 
 def bounded(d: int) -> InclusionPolicy:
-    return InclusionPolicy(PolicyKind.BOUNDED, d)
+    return InclusionPolicy(d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ConfigurationError,
     DataFormatError,
     ExperimentCalendar,
     InclusionPolicy,
     InsufficientDataError,
     TraceTable,
-    Variant,
 )
 
 
@@ -47,14 +47,9 @@ class GroupSummary:
     mean: float
     sample_variance: float
 
-    @property
-    def is_empty(self) -> bool:
-        return self.n == 0
-
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    policy: InclusionPolicy
     delta: float
     variance: float
     n_treatment: int
@@ -132,13 +127,18 @@ def metric_table(
 
 def group_summary(
     traces: TraceTable,
-    variant: Variant,
+    arm: int,
     policy: InclusionPolicy,
     calendar: ExperimentCalendar,
 ) -> GroupSummary:
-    """Summarize the per-user metric for one arm under one inclusion policy."""
+    """Summarize the per-user metric of one arm (1 treatment, 0 control) under one policy.
+
+    The arm code is the one ``TraceTable.variants`` and ``MetricTable.arm_values`` use.
+    """
+    if arm not in (0, 1):
+        raise ConfigurationError(f"arm must be 1 (treatment) or 0 (control), got {arm!r}")
     table = metric_table(traces, policy, calendar)
-    return summarize_values(table.arm_values(1 if variant is Variant.TREATMENT else 0))
+    return summarize_values(table.arm_values(arm))
 
 
 def summarize_values(values: np.ndarray) -> GroupSummary:
@@ -153,7 +153,6 @@ def summarize_values(values: np.ndarray) -> GroupSummary:
 def delta_from_samples(
     treatment: np.ndarray,
     control: np.ndarray,
-    policy: InclusionPolicy,
     test: TestKind = TestKind.Z,
 ) -> AnalysisResult:
     """Difference in means with the unpooled (per-arm) variance estimate."""
@@ -170,7 +169,6 @@ def delta_from_samples(
     _require_finite(delta, variance)
     statistic, p_value = _two_sided_test(delta, variance, vt, n_t, vc, n_c, test)
     return AnalysisResult(
-        policy=policy,
         delta=delta,
         variance=variance,
         n_treatment=n_t,
@@ -218,7 +216,7 @@ def delta_estimate(
     p-value (normal approximation by default, Welch t on request).
     """
     table = metric_table(traces, policy, calendar)
-    return delta_from_samples(table.arm_values(1), table.arm_values(0), policy, test)
+    return delta_from_samples(table.arm_values(1), table.arm_values(0), test)
 
 
 def weekend_ratio_gamma(

@@ -117,12 +117,10 @@ def _point(
     )
 
 
-def _full_sample_point(
-    table: MetricTable, policy: InclusionPolicy, alpha: float, test: TestKind
-) -> PowerCurvePoint:
+def _full_sample_point(table: MetricTable, alpha: float, test: TestKind) -> PowerCurvePoint:
     treatment, control = table.arm_values(1), table.arm_values(0)
     try:
-        result = delta_from_samples(treatment, control, policy, test)
+        result = delta_from_samples(treatment, control, test)
         delta, p_value = result.delta, result.p_value
     except InsufficientDataError:
         delta = p_value = math.nan
@@ -229,41 +227,6 @@ def _subsample_tests(
     return n, deltas, variances, p_values
 
 
-def _sweep(
-    tables: Sequence[MetricTable],
-    policies: Sequence[InclusionPolicy],
-    n_users: int,
-    fractions: Sequence[float],
-    repetitions: int,
-    alpha: float,
-    seed: Seed,
-    test: TestKind,
-) -> list[PowerCurve]:
-    subsampled = [f for f in fractions if f < 1.0]
-    members = [_arm_members(table) for table in tables]
-    moments = np.empty((len(tables), repetitions, 3, len(subsampled), 2))
-    if subsampled:
-        rank_buckets = _rank_buckets(n_users, subsampled)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(repetitions):
-                buckets = _repetition_buckets(seed, r, rank_buckets)
-                for i, member in enumerate(members):
-                    moments[i, r] = _repetition_moments(member, buckets, len(subsampled))
-    curves = []
-    for table, policy, policy_moments in zip(tables, policies, moments):
-        n, deltas, _, p_values = _subsample_tests(policy_moments, test)
-        points = [
-            _point(f, deltas[:, j], p_values[:, j], n[:, j, 1], n[:, j, 0], alpha)
-            for j, f in enumerate(subsampled)
-        ]
-        if fractions[-1] == 1.0:
-            points.append(_full_sample_point(table, policy, alpha, test))
-        curves.append(
-            PowerCurve(policy=policy, points=tuple(points), repetitions=repetitions, alpha=alpha)
-        )
-    return curves
-
-
 def power_curve(
     traces: TraceTable,
     policy: InclusionPolicy,
@@ -316,6 +279,26 @@ def compare_policies(
             f"make {cells} sweep cells, more than the {MAX_SWEEP_CELLS} a sweep may hold"
         )
     tables = [metric_table(traces, policy, calendar) for policy in policies]
-    return tuple(
-        _sweep(tables, list(policies), len(traces), fracs, repetitions, alpha, seed, test)
-    )
+    subsampled = [f for f in fracs if f < 1.0]
+    members = [_arm_members(table) for table in tables]
+    moments = np.empty((len(tables), repetitions, 3, len(subsampled), 2))
+    if subsampled:
+        rank_buckets = _rank_buckets(len(traces), subsampled)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(repetitions):
+                buckets = _repetition_buckets(seed, r, rank_buckets)
+                for i, member in enumerate(members):
+                    moments[i, r] = _repetition_moments(member, buckets, len(subsampled))
+    curves = []
+    for table, policy, policy_moments in zip(tables, policies, moments):
+        n, deltas, _, p_values = _subsample_tests(policy_moments, test)
+        points = [
+            _point(f, deltas[:, j], p_values[:, j], n[:, j, 1], n[:, j, 0], alpha)
+            for j, f in enumerate(subsampled)
+        ]
+        if fracs[-1] == 1.0:
+            points.append(_full_sample_point(table, alpha, test))
+        curves.append(
+            PowerCurve(policy=policy, points=tuple(points), repetitions=repetitions, alpha=alpha)
+        )
+    return tuple(curves)

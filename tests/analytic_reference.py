@@ -21,11 +21,11 @@ import math
 import numpy as np
 
 from openbounded.analytic import WEEKEND_SHARE
-from openbounded.core import ExperimentCalendar, InclusionPolicy, PolicyKind
+from openbounded.core import ExperimentCalendar, InclusionPolicy
 
 
 def pattern_census(
-    k: int, effect_mask: int, kind: PolicyKind, d: int | None, deadline: int
+    k: int, effect_mask: int, d: int | None, deadline: int
 ) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
     """Group the 2^k presence patterns by (total active, analyzed, effect) counts.
 
@@ -42,10 +42,10 @@ def pattern_census(
         if t0 > deadline:
             excluded[total_active] += 1
             continue
-        if kind is PolicyKind.BOUNDED:
-            window = ((1 << d) - 1) << (t0 - 1)
-        else:
+        if d is None:
             window = full_mask
+        else:
+            window = ((1 << d) - 1) << (t0 - 1)
         analyzed = mask & window
         key = (total_active, analyzed.bit_count(), (analyzed & effect_mask).bit_count())
         census[key] = census.get(key, 0) + 1

@@ -19,6 +19,7 @@ from openbounded import (
     model1_variance_coeffs,
     model2_bias,
     model2_variance_coeffs,
+    simulate_model1,
     simulate_model2,
     toy_even_day_ratio,
 )
@@ -33,7 +34,7 @@ from openbounded.analytic import (
     _first_active_weights,
     _pattern_census,
 )
-from openbounded.core import PolicyKind
+from openbounded.metrics import delta_from_samples, metric_table
 import analytic_reference
 from analytic_reference import pattern_census
 from conftest import P_GRID
@@ -166,6 +167,35 @@ class TestModel1VarianceCoeffs:
         assert variance == pytest.approx(
             eta * params.sigma**2 + zeta * params.tau_prime**2, rel=1e-12
         )
+
+    def test_monte_carlo_spread_and_estimated_variance(self, monday14):
+        # Fixed before the first run: 600 seeds 3000..3599, 200 users per arm,
+        # and a tolerance of 3 standard errors. The SE of the sample variance
+        # of delta comes from the sample's own fourth central moment.
+        reps, n_per_arm, tolerance = 600, 200, 3.0
+        params = Model1Params(p=0.3, tau_prime=2.0, sigma=1.0)
+        policies = (OPEN, BOUNDED7)
+        deltas, variances = np.empty((2, reps)), np.empty((2, reps))
+        for r in range(reps):
+            traces = simulate_model1(params, n_per_arm, Seed(3000 + r))
+            for i, policy in enumerate(policies):
+                table = metric_table(traces, policy, monday14)
+                result = delta_from_samples(table.arm_values(1), table.arm_values(0))
+                deltas[i, r], variances[i, r] = result.delta, result.variance
+        for policy, delta, variance in zip(policies, deltas, variances):
+            eta, zeta = model1_variance_coeffs(policy, params.p, monday14, n_per_arm=n_per_arm)
+            expected = eta * params.sigma**2 + zeta * params.tau_prime**2
+            spread = delta.var(ddof=1)
+            m4 = np.mean((delta - delta.mean()) ** 4)
+            spread_se = np.sqrt((m4 - spread**2 * (reps - 3) / (reps - 1)) / reps)
+            estimated, estimated_se = variance.mean(), variance.std(ddof=1) / np.sqrt(reps)
+            print(
+                f"\n{policy.label} seeds 3000..{3000 + reps - 1}: eta s^2 + zeta t'^2 = "
+                f"{expected:.5f}; Var(delta) {spread:.5f} (SE {spread_se:.5f}); "
+                f"mean estimated variance {estimated:.5f} (SE {estimated_se:.5f})"
+            )
+            assert abs(spread - expected) <= tolerance * spread_se
+            assert abs(estimated - expected) <= tolerance * estimated_se
 
 
 class TestModel2:
@@ -415,15 +445,15 @@ class TestEnumerationOracle:
 
 @st.composite
 def census_cases(draw):
-    """(k, effect_mask, kind, d, deadline) for any legal census: open, or
+    """(k, effect_mask, d, deadline) for any legal census: open, or
     bounded(d) with d < k, and every deadline up to the last one whose
     window still fits, so the admission_deadline override is covered too."""
     k = draw(st.integers(min_value=1, max_value=12))
     effect_mask = draw(st.integers(min_value=0, max_value=(1 << k) - 1))
     d = draw(st.none() | st.integers(min_value=1, max_value=k - 1)) if k > 1 else None
     if d is None:
-        return k, effect_mask, PolicyKind.OPEN, None, draw(st.integers(0, k))
-    return k, effect_mask, PolicyKind.BOUNDED, d, draw(st.integers(0, k - d + 1))
+        return k, effect_mask, None, draw(st.integers(0, k))
+    return k, effect_mask, d, draw(st.integers(0, k - d + 1))
 
 
 class TestPatternCensus:
@@ -435,13 +465,10 @@ class TestPatternCensus:
     def test_matches_reference(self, case):
         assert _pattern_census(*case) == pattern_census(*case)
 
-    @pytest.mark.parametrize("kind, d, deadline", [
-        (PolicyKind.OPEN, None, 20),
-        (PolicyKind.BOUNDED, 7, 13),
-    ], ids=["open", "bounded7"])
-    def test_matches_reference_over_twenty_days(self, kind, d, deadline):
+    @pytest.mark.parametrize("d, deadline", [(None, 20), (7, 13)], ids=["open", "bounded7"])
+    def test_matches_reference_over_twenty_days(self, d, deadline):
         effect_mask = sum(1 << (t - 1) for t in ExperimentCalendar(20).weekend_days())
-        case = (20, effect_mask, kind, d, deadline)
+        case = (20, effect_mask, d, deadline)
         assert _pattern_census(*case) == pattern_census(*case)
 
     def test_chunk_boundaries(self, monkeypatch):
@@ -449,8 +476,7 @@ class TestPatternCensus:
         monkeypatch.setattr("openbounded.analytic._CENSUS_CHUNK", 7)
         _pattern_census.cache_clear()
         try:
-            for case in [(10, 0b1100000110, PolicyKind.OPEN, None, 10),
-                         (10, 0b1100000110, PolicyKind.BOUNDED, 3, 8)]:
+            for case in [(10, 0b1100000110, None, 10), (10, 0b1100000110, 3, 8)]:
                 assert _pattern_census(*case) == pattern_census(*case)
         finally:
             _pattern_census.cache_clear()

@@ -1,5 +1,6 @@
 """The public surface: the exported names, and every name the benchmark tracer wraps."""
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -26,13 +27,11 @@ PUBLIC_NAMES = [
     "Model2Params",
     "OPEN",
     "OracleExpectation",
-    "PolicyKind",
     "PowerCurve",
     "PowerCurvePoint",
     "Seed",
     "TestKind",
     "TraceTable",
-    "Variant",
     "WEEKEND_SHARE",
     "Weekday",
     "bounded",
@@ -55,12 +54,34 @@ PUBLIC_NAMES = [
     "write_event_log",
 ]
 
+# The fields of the public dataclasses, in declaration order; pinned like the names.
+PUBLIC_FIELDS = {
+    "InclusionPolicy": ["d"],
+    "AnalysisResult": ["delta", "variance", "n_treatment", "n_control", "statistic", "p_value"],
+    "GroupSummary": ["n", "mean", "sample_variance"],
+    "PowerCurve": ["policy", "points", "repetitions", "alpha"],
+    "PowerCurvePoint": [
+        "fraction", "power", "power_se", "est_p05", "est_p50", "est_p95",
+        "n_effective_treatment", "n_effective_control", "degenerate_repetitions",
+    ],
+    "IngestReport": ["total_rows", "accepted_rows", "rejected"],
+    "OracleExpectation": [
+        "ratio", "ratio_over_active", "inverse_days", "ratio_sq",
+        "admission_probability", "activity_probability",
+    ],
+}
+
 
 def test_exported_names_pinned():
     assert sorted(openbounded.__all__) == PUBLIC_NAMES
     assert len(set(openbounded.__all__)) == len(openbounded.__all__)
     for name in PUBLIC_NAMES:
         assert hasattr(openbounded, name), name
+
+
+def test_public_fields_pinned():
+    for name, expected in PUBLIC_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(getattr(openbounded, name))] == expected, name
 
 
 def test_traced_names_resolve(monkeypatch):

@@ -89,6 +89,15 @@ class TestSimulateCommand:
         assert code == 1 and not out.exists()
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("output", [[], ["-o", "-"]], ids=["default", "dash"])
+    def test_output_path_required(self, tmp_path, capsys, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--model", "model1", "--n-per-arm", "3", *output
+        )
+        assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_metadata_sidecar_fields(self, tmp_path, capsys):
         out = tmp_path / "m1.jsonl"
         run_cli(capsys, "simulate", "--model", "model1", "--seed", "3", "-o", str(out))
@@ -170,6 +179,16 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "warning:" in err and "day-out-of-range" in err
         assert json.loads(out)["ingest"]["rejected"] == {"day-out-of-range": 1}
+
+    def test_few_bad_rows_then_failure_print_one_line(self, tmp_path, capsys):
+        # One rejected row of 11 would warn on success; here the treatment arm is too small.
+        rows = [{"user_id": f"u{u}", "day": 1, "variant": "C" if u else "T", "value": 1.0}
+                for u in range(10)]
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows) + "not json\n")
+        code, out, err = run_cli(capsys, "analyze", "-i", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: treatment group") and err.count("\n") == 1
 
     def test_same_day_overflow_exit_data(self, tmp_path, capsys):
         # Each row is finite; their sum for one user-day is not.
@@ -743,3 +762,19 @@ class TestConfigResolution:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and "openbounded" in out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["simulate", "-h"]])
+    def test_help_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage:") and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "-i", "log.jsonl", "--frobnicate"],
+        ["analyze", "-i", "log.jsonl", "--test=é"],
+        ["analytic", "--model", "model1", "--n-per-arm=abc"],
+        ["analyze", "-i"],
+    ], ids=["unknown-flag", "outside-choices", "not-an-int", "missing-value"])
+    def test_parser_error_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

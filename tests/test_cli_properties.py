@@ -1,6 +1,7 @@
 """Whole-CLI property: any argv and ``--config`` file drawn from the parser's
-own flags ends with a documented exit code and never with a traceback, and a
-report written on exit 0 is blank only where ``cli.REPORT_BLANKS`` allows.
+own flags ends with a documented exit code and never with a traceback, a
+nonzero exit prints exactly one ``error:`` line to stderr, and a report
+written on exit 0 is blank only where ``cli.REPORT_BLANKS`` allows.
 
 Each draw starts from a small run of one command on a tiny log and adds up to
 three flags, then a config file when it draws one. Numbers come from a fixed
@@ -162,6 +163,8 @@ def test_any_invocation_ends_cleanly(invocation):
                 reports.append(fh.read())
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+    if code != 0:
+        assert stderr.getvalue().startswith("error:") and stderr.getvalue().count("\n") == 1
     if code == 0 and argv[0] != "simulate":
         assert len(reports) == 1, written
         _check_report(argv[0], reports[0])

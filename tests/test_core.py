@@ -8,7 +8,6 @@ from openbounded import (
     ConfigurationError,
     ExperimentCalendar,
     InclusionPolicy,
-    PolicyKind,
     TraceTable,
     Weekday,
     bounded,
@@ -130,11 +129,12 @@ class TestInclusionInterval:
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
-            InclusionPolicy(PolicyKind.BOUNDED)
-        with pytest.raises(ConfigurationError):
-            InclusionPolicy(PolicyKind.OPEN, d=7)
-        with pytest.raises(ConfigurationError):
             bounded(0)
+
+    def test_policy_is_its_d(self):
+        assert InclusionPolicy() == OPEN and OPEN.d is None and OPEN.label == "open"
+        assert InclusionPolicy(7) == bounded(7) != bounded(5)
+        assert bounded(7).label == "bounded"
 
     def test_admission_deadline(self, monday14):
         assert bounded(7).admission_deadline(monday14) == 7

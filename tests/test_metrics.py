@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from openbounded import (
     OPEN,
+    ConfigurationError,
     ExperimentCalendar,
     InsufficientDataError,
     Model1Params,
     Seed,
     TestKind,
-    Variant,
     bounded,
     delta_estimate,
     group_summary,
@@ -80,27 +80,32 @@ class TestUserMetric:
 class TestGroupSummary:
     def test_constant_metrics(self, monday14):
         traces = make_table([(f"u{i}", "T", {1: 1.0}) for i in range(3)])
-        summary = group_summary(traces, Variant.TREATMENT, OPEN, monday14)
+        summary = group_summary(traces, 1, OPEN, monday14)
         assert (summary.n, summary.mean, summary.sample_variance) == (3, 1.0, 0.0)
 
     def test_two_user_variance(self, monday14):
         traces = make_table([("a", "T", {1: 1.0}), ("b", "T", {1: 3.0})])
-        summary = group_summary(traces, Variant.TREATMENT, OPEN, monday14)
+        summary = group_summary(traces, 1, OPEN, monday14)
         assert summary.n == 2 and summary.mean == 2.0 and summary.sample_variance == 2.0
 
     def test_empty_group_flagged(self, monday14):
         traces = make_table([("a", "T", {1: 1.0})])
-        summary = group_summary(traces, Variant.CONTROL, OPEN, monday14)
-        assert summary.is_empty and math.isnan(summary.mean)
+        summary = group_summary(traces, 0, OPEN, monday14)
+        assert summary.n == 0 and math.isnan(summary.mean)
 
     def test_single_user_variance_undefined(self, monday14):
         traces = make_table([("a", "T", {1: 1.0})])
-        summary = group_summary(traces, Variant.TREATMENT, OPEN, monday14)
+        summary = group_summary(traces, 1, OPEN, monday14)
         assert summary.n == 1 and math.isnan(summary.sample_variance)
 
     def test_inactive_users_not_counted(self, monday14):
         traces = make_table([("a", "T", {1: 1.0}), ("ghost", "T", {})])
-        assert group_summary(traces, Variant.TREATMENT, OPEN, monday14).n == 1
+        assert group_summary(traces, 1, OPEN, monday14).n == 1
+
+    def test_unknown_arm_rejected(self, monday14):
+        traces = make_table([("a", "T", {1: 1.0})])
+        with pytest.raises(ConfigurationError):
+            group_summary(traces, -1, OPEN, monday14)
 
 
 def _two_group_traces(t_values, c_values, day=1):

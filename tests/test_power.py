@@ -198,7 +198,7 @@ class TestNestedSubsamples:
                 control = table.values[idx][included & (variants == 0)]
                 assert (n[r, j, 1], n[r, j, 0]) == (treatment.size, control.size)
                 try:
-                    direct = delta_from_samples(treatment, control, policy, test)
+                    direct = delta_from_samples(treatment, control, test)
                 except InsufficientDataError:
                     degenerate += 1
                     assert np.isnan([deltas[r, j], variances[r, j], p_values[r, j]]).all()
