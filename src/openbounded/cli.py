@@ -1,8 +1,9 @@
 """Command-line interface: simulate, analyze, power, analytic.
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 malformed data,
-3 structurally valid but insufficient data. Errors print a single
-``error: ...`` line to stderr, also for the parser's own errors.
+Exit codes: 0 success, 1 usage or configuration problem (an ``-o`` that
+cannot be written among them), 2 malformed data, 3 structurally valid but
+insufficient data. Errors print a single ``error: ...`` line to stderr, also
+for the parser's own errors.
 ``simulate`` writes an event log and its sidecar to the path ``-o`` names;
 every other command returns a ``Report`` that ``_write_report`` alone writes,
 as CSV or as JSON embedding the resolved configuration and the tool version.
@@ -235,6 +236,16 @@ def _csv_document(header: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     return buf.getvalue()
 
 
+def _check_output(path: str) -> None:
+    """Refuse an ``-o`` that cannot be a file before any work is done."""
+    if not path:
+        raise ConfigurationError("the output path is empty")
+    if os.path.isdir(path):
+        raise ConfigurationError(f"output path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"the directory of output path {path} does not exist")
+
+
 def _write_report(args: argparse.Namespace, report: Report) -> None:
     """Write a report to stdout or ``--output`` as CSV or as JSON."""
     header, rows, sections = report
@@ -245,9 +256,12 @@ def _write_report(args: argparse.Namespace, report: Report) -> None:
         text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write report {args.output}: {exc}") from exc
 
 
 def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, seed: Seed):
@@ -290,7 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             },
         )
     except OSError as exc:
-        raise DataFormatError(f"cannot write event log {args.output}: {exc}") from exc
+        raise ConfigurationError(f"cannot write event log {args.output}: {exc}") from exc
     print(f"wrote {rows} rows for {len(traces)} users to {args.output}", file=sys.stderr)
 
 
@@ -543,6 +557,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, parser)
+        if args.output != "-":
+            _check_output(args.output)
         report = args.func(args)
         if report is not None:
             _write_report(args, report)

@@ -10,11 +10,20 @@ the share of repetitions reaching significance. The permutation of
 repetition r is a pure function of (seed, r), so curves are reproducible and
 policies are compared on identical subsamples. Fraction 1.0 admits a single
 subset and is analysed once.
+
+A large sweep splits its repetitions into one contiguous block per core the
+process may use, each filled by a forked worker (the caller fills the
+first). Since every repetition depends on (seed, r) alone, the output bytes
+do not depend on that count: ``taskset -c 0`` gives the same output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +56,11 @@ _SUBSAMPLE_STREAM = 1
 # floats of subsample moments, so this caps them at 480 MB; a larger request
 # is refused before anything is allocated.
 MAX_SWEEP_CELLS = 10_000_000
+# Fewest users x repetitions for which the sweep forks one worker per usable
+# core. The serial sweep costs 53-65 ns per user-repetition and a forked
+# worker's round trip 10-30 ms, so below 1e6 (about 0.06 s of serial work)
+# the fork would eat most of what it saves.
+PARALLEL_MIN_USER_REPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -227,6 +241,91 @@ def _subsample_tests(
     return n, deltas, variances, p_values
 
 
+def _sweep_moments(
+    moments: np.ndarray,
+    seed: Seed,
+    rank_buckets: np.ndarray,
+    members: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    start: int,
+    stop: int,
+) -> None:
+    """Fill ``moments[:, start:stop]``, every policy's moments at repetitions ``start..stop-1``."""
+    n_fractions = moments.shape[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(start, stop):
+            buckets = _repetition_buckets(seed, r, rank_buckets)
+            for i, member in enumerate(members):
+                moments[i, r] = _repetition_moments(member, buckets, n_fractions)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on for the sweep.
+
+    1 where the platform cannot tell or cannot fork, in a process running
+    other threads (a fork copies them mid-step), and in a daemonic
+    ``multiprocessing`` worker, which may not start processes.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    # Where multiprocessing is not loaded, this process is none of its workers.
+    processes = sys.modules.get("multiprocessing")
+    if threading.active_count() > 1 or (processes and processes.current_process().daemon):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _sweep_block(send, moments: np.ndarray, start: int, stop: int, *inputs) -> None:
+    """A forked worker: fill its block of repetitions and send it, or send the exception."""
+    try:
+        _sweep_moments(moments, *inputs, start, stop)
+        reply = moments[:, start:stop]
+    except Exception as exc:
+        reply = exc
+    with contextlib.suppress(Exception):  # unsent, the block is filled by the parent
+        send.send(reply)
+
+
+def _parallel_sweep(moments: np.ndarray, workers: int, *inputs) -> None:
+    """``_sweep_moments`` over every repetition, one contiguous block per worker.
+
+    Forked workers inherit the inputs and send back their blocks, which are
+    joined in repetition order; the parent fills the first block itself. A
+    worker's exception is raised here. A worker that ends without a reply
+    (killed, say) has its block filled by the parent, with the same bits.
+    No worker outlives the call.
+    """
+    from multiprocessing import get_context  # only a sweep worth splitting pays the import
+
+    context = get_context("fork")
+    repetitions = moments.shape[1]
+    bounds = [repetitions * w // workers for w in range(workers + 1)]
+    jobs = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_sweep_block, args=(send, moments, start, stop, *inputs), daemon=True
+            )
+            worker.start()
+            send.close()
+            jobs.append((worker, receive, start, stop))
+        _sweep_moments(moments, *inputs, bounds[0], bounds[1])
+        for _, receive, start, stop in jobs:
+            try:
+                reply = receive.recv()
+            except EOFError:
+                _sweep_moments(moments, *inputs, start, stop)
+                continue
+            if isinstance(reply, BaseException):
+                raise reply
+            moments[:, start:stop] = reply
+    finally:
+        for worker, receive, _, _ in jobs:
+            worker.terminate()
+            receive.close()
+            worker.join()
+
+
 def power_curve(
     traces: TraceTable,
     policy: InclusionPolicy,
@@ -283,12 +382,14 @@ def compare_policies(
     members = [_arm_members(table) for table in tables]
     moments = np.empty((len(tables), repetitions, 3, len(subsampled), 2))
     if subsampled:
-        rank_buckets = _rank_buckets(len(traces), subsampled)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(repetitions):
-                buckets = _repetition_buckets(seed, r, rank_buckets)
-                for i, member in enumerate(members):
-                    moments[i, r] = _repetition_moments(member, buckets, len(subsampled))
+        inputs = (seed, _rank_buckets(len(traces), subsampled), members)
+        workers = 1
+        if len(traces) * repetitions >= PARALLEL_MIN_USER_REPS:
+            workers = min(_usable_cores(), repetitions)
+        if workers > 1:
+            _parallel_sweep(moments, workers, *inputs)
+        else:
+            _sweep_moments(moments, *inputs, 0, repetitions)
     curves = []
     for table, policy, policy_moments in zip(tables, policies, moments):
         n, deltas, _, p_values = _subsample_tests(policy_moments, test)

@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from dataclasses import replace
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -179,12 +179,20 @@ def strip_variants(traces: TraceTable) -> TraceTable:
     return replace(traces, variants=np.full(len(traces), -1, dtype=np.int8))
 
 
-def _assign_treatment(seed: Seed, user_id: str) -> bool:
-    # Stable fair coin: order-invariant, pure function of (seed, user_id).
-    digest = hashlib.blake2b(
-        user_id.encode("utf-8"), digest_size=8, key=seed.base.to_bytes(8, "little")
-    ).digest()
-    return bool(digest[0] & 1)
+def _assign_treatment(seed: Seed, user_ids: Sequence[str]) -> np.ndarray:
+    """Stable fair coin per user: order-invariant, a pure function of (seed, user_id).
+
+    The keyed hash is set up once and copied for each id; the digests are
+    those of a fresh ``blake2b`` per id.
+    """
+    keyed = hashlib.blake2b(digest_size=8, key=seed.base.to_bytes(8, "little"))
+
+    def heads(user_id: str) -> bool:
+        digest = keyed.copy()
+        digest.update(user_id.encode("utf-8"))
+        return bool(digest.digest()[0] & 1)
+
+    return np.array([heads(u) for u in user_ids], dtype=bool)
 
 
 def inject_effect(
@@ -207,7 +215,7 @@ def inject_effect(
             f"user {traces.user_ids[assigned[0]]} already carries a variant; refusing to reassign"
         )
     traces.require_calendar(calendar)
-    treated = np.array([_assign_treatment(assignment_seed, u) for u in traces.user_ids])
+    treated = _assign_treatment(assignment_seed, traces.user_ids)
 
     if spec.kind is EffectKind.RELATIVE_LIFT:
         control_values = traces.values[~treated][traces.present[~treated]]

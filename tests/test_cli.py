@@ -509,6 +509,51 @@ class TestAnalyticCommand:
         assert {row["policy"] for row in payload["rows"]} == {"open", "bounded"}
 
 
+class TestOutputPath:
+    """An ``-o`` that cannot be a file exits 1 before the command does its work."""
+
+    # argv, and the work each command does first, replaced by ``Unreachable``.
+    COMMANDS = {
+        "simulate": (["simulate", "--model", "model1", "--n-per-arm", "3"],
+                     ("simulate_model1",)),
+        "analyze": (["analyze", "-i", "log.jsonl"], ("read_event_log", "metric_table")),
+        "power": (["power", "--model", "model1", "--n-per-arm", "10", "--reps", "2"],
+                  ("simulate_model1", "compare_policies")),
+        "analytic": (["analytic", "--model", "model1"], ("model1_bias", "enumeration_oracle")),
+    }
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_output_refused_first(self, tmp_path, capsys, monkeypatch, command,
+                                             where):
+        argv, work = self.COMMANDS[command]
+        for name in work:
+            monkeypatch.setattr(cli, name, Unreachable())
+        output = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+        code, stdout, err = run_cli(capsys, *argv, "-o", str(output))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(output) in err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_empty_output_refused(self, capsys, monkeypatch, command):
+        argv, work = self.COMMANDS[command]
+        for name in work:
+            monkeypatch.setattr(cli, name, Unreachable())
+        code, _, err = run_cli(capsys, *argv, "-o", "")
+        assert code == 1 and err == "error: the output path is empty\n"
+
+    @pytest.mark.parametrize("command, message", [
+        ("simulate", "cannot write event log"), ("analytic", "cannot write report"),
+    ])
+    def test_failed_write_exits_usage(self, tmp_path, capsys, command, message):
+        """A name too long for the file system passes the checks and fails at the write."""
+        argv, _ = self.COMMANDS[command]
+        code, stdout, err = run_cli(capsys, *argv, "-o", str(tmp_path / ("x" * 300)))
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestParameterChecks:
     """``--d`` is read only where a bounded policy is built, and every other
     parameter is checked before anything is drawn or allocated."""

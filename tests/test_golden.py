@@ -12,6 +12,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+from openbounded import power
 from openbounded.cli import main
 
 GOLDEN = {
@@ -70,3 +73,20 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     Path("stdout.json").write_bytes(capsys.readouterr().out.encode("utf-8"))
     digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in GOLDEN}
     assert digests == GOLDEN
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_power_digests_hold_on_the_parallel_path(tmp_path, monkeypatch, workers):
+    """The sweep split across forked workers writes the same bytes as the serial one."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(power, "PARALLEL_MIN_USER_REPS", 0)
+    monkeypatch.setattr(power, "_usable_cores", lambda: workers)
+    assert main(["simulate", "--model", "model1", "--p", "0.4", "--tau", "1.0", "--sigma", "1.0",
+                 "--n-per-arm", "200", "--seed", "42", "-o", "events.jsonl"]) == 0
+    assert main(["power", "-i", "events.jsonl", "--fractions", "0.5,1.0", "--reps", "40",
+                 "--seed", "42", "--format", "csv", "-o", "power.csv"]) == 0
+    _strip_variants(Path("events.jsonl"), Path("raw.jsonl"))
+    assert main(["power", "-i", "raw.jsonl", "--inject-lift", "0.01", "--fractions", "0.5,1.0",
+                 "--reps", "40", "--seed", "42", "--format", "json", "-o", "inject.json"]) == 0
+    for name in ("power.csv", "inject.json"):
+        assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == GOLDEN[name]

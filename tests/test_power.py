@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from openbounded import (
     OPEN,
     ConfigurationError,
+    DataFormatError,
     InsufficientDataError,
     Model1Params,
     Seed,
@@ -13,16 +17,20 @@ from openbounded import (
     bounded,
     compare_policies,
     delta_estimate,
+    power,
     power_curve,
     simulate_model1,
 )
+from openbounded.cli import main
 from openbounded.metrics import delta_from_samples, metric_table
 from openbounded.power import (
     _arm_members,
+    _parallel_sweep,
     _rank_buckets,
     _repetition_buckets,
     _repetition_moments,
     _subsample_tests,
+    _sweep_moments,
 )
 from conftest import make_table
 
@@ -207,3 +215,126 @@ class TestNestedSubsamples:
                 assert variances[r, j] == pytest.approx(direct.variance, rel=1e-9)
                 assert p_values[r, j] == pytest.approx(direct.p_value, rel=1e-9)
         assert 0 < degenerate < deltas.size
+
+
+def _force_workers(monkeypatch, workers):
+    """Make every sweep take the parallel path with ``workers`` processes."""
+    monkeypatch.setattr(power, "PARALLEL_MIN_USER_REPS", 0)
+    monkeypatch.setattr(power, "_usable_cores", lambda: workers)
+
+
+def _fail_in_workers(monkeypatch, fail):
+    """Make ``_repetition_moments`` call ``fail`` in any process but this one."""
+    parent = os.getpid()
+
+    def moments(*args):
+        if os.getpid() != parent:
+            fail()
+        return _repetition_moments(*args)
+
+    monkeypatch.setattr(power, "_repetition_moments", moments)
+
+
+class TestParallelSweep:
+    # 11 repetitions: neither 2 nor 3 workers divide them. At fraction 0.01
+    # some repetitions leave an arm below two users.
+    FRACTIONS = [0.01, 0.1, 0.5, 1.0]
+    REPETITIONS = 11
+
+    @staticmethod
+    def _sweep_inputs(monday14):
+        params = Model1Params(p=0.2, tau=5.0, sigma=65.0, c=100.0)
+        traces = simulate_model1(params, 150, Seed(31))
+        members = [_arm_members(metric_table(traces, policy, monday14))
+                   for policy in (OPEN, bounded(7))]
+        rank_buckets = _rank_buckets(len(traces), TestParallelSweep.FRACTIONS[:-1])
+        return traces, (Seed(32), rank_buckets, members)
+
+    def test_no_fork_beside_other_threads(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert power._usable_cores() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert power._usable_cores() == len(os.sched_getaffinity(0))
+
+    def test_no_fork_in_a_daemonic_worker(self):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(power._usable_cores) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_moments_bit_identical_to_serial(self, monday14, workers):
+        _, inputs = self._sweep_inputs(monday14)
+        shape = (2, self.REPETITIONS, 3, len(self.FRACTIONS) - 1, 2)
+        serial, parallel = np.empty(shape), np.empty(shape)
+        _sweep_moments(serial, *inputs, 0, self.REPETITIONS)
+        _parallel_sweep(parallel, workers, *inputs)
+        assert parallel.tobytes() == serial.tobytes()
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("test", [TestKind.Z, TestKind.WELCH])
+    def test_curves_identical_for_any_worker_count(self, monday14, monkeypatch, test):
+        traces, _ = self._sweep_inputs(monday14)
+        curves = []
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            curves.append(compare_policies(
+                traces, monday14, self.FRACTIONS, self.REPETITIONS, seed=Seed(32), test=test
+            ))
+            assert not multiprocessing.active_children()
+        assert curves[0][0].points[0].degenerate_repetitions > 0
+        # repr spells every float exactly and matches NaN with NaN.
+        assert repr(curves[1]) == repr(curves[0]) and repr(curves[2]) == repr(curves[0])
+
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 7.45 GiB"), DataFormatError("moments past float range"),
+    ], ids=["memory", "data"])
+    def test_worker_exception_raised_in_parent(self, monday14, monkeypatch, error):
+        traces, _ = self._sweep_inputs(monday14)
+        _force_workers(monkeypatch, 2)
+
+        def fail():
+            raise error
+
+        _fail_in_workers(monkeypatch, fail)
+        with pytest.raises(type(error)) as raised:
+            compare_policies(traces, monday14, self.FRACTIONS, self.REPETITIONS, seed=Seed(32))
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        assert not multiprocessing.active_children()
+
+    def test_worker_ending_without_reply_is_refilled(self, monday14, monkeypatch):
+        traces, _ = self._sweep_inputs(monday14)
+        expected = compare_policies(
+            traces, monday14, self.FRACTIONS, self.REPETITIONS, seed=Seed(32)
+        )
+        _force_workers(monkeypatch, 3)
+        _fail_in_workers(monkeypatch, lambda: os._exit(1))
+        curves = compare_policies(
+            traces, monday14, self.FRACTIONS, self.REPETITIONS, seed=Seed(32)
+        )
+        assert repr(curves) == repr(expected)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("error, code, message", [
+        (MemoryError("Unable to allocate 7.45 GiB"), 1,
+         "error: out of memory: Unable to allocate 7.45 GiB\n"),
+        (DataFormatError("moments past float range"), 2, "error: moments past float range\n"),
+    ], ids=["memory", "data"])
+    def test_power_command_keeps_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code,
+                                               message):
+        _force_workers(monkeypatch, 2)
+
+        def fail():
+            raise error
+
+        _fail_in_workers(monkeypatch, fail)
+        out = tmp_path / "power.json"
+        assert main(["power", "--model", "model1", "--n-per-arm", "50", "--reps", "5",
+                     "-o", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message and not out.exists()
+        assert not multiprocessing.active_children()
