@@ -1,9 +1,9 @@
 """Command-line interface: simulate, analyze, power, analytic.
 
-Exit codes: 0 success, 1 usage or configuration problem (an ``-o`` that
-cannot be written among them), 2 malformed data, 3 structurally valid but
-insufficient data. Errors print a single ``error: ...`` line to stderr, also
-for the parser's own errors.
+Exit codes: 0 success, 1 usage or configuration problem (an ``-i`` that
+cannot be read and an ``-o`` that cannot be written among them), 2 malformed
+data, 3 structurally valid but insufficient data. Errors print a single
+``error: ...`` line to stderr, also for the parser's own errors.
 ``simulate`` writes an event log and its sidecar to the path ``-o`` names;
 every other command returns a ``Report`` that ``_write_report`` alone writes,
 as CSV or as JSON embedding the resolved configuration and the tool version.
@@ -244,6 +244,16 @@ def _check_output(path: str) -> None:
         raise ConfigurationError(f"output path {path} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigurationError(f"the directory of output path {path} does not exist")
+
+
+def _check_input(path: str) -> None:
+    """Refuse an ``-i`` that cannot be read before any work is done."""
+    if not os.path.exists(path):
+        raise ConfigurationError(f"input path {path} does not exist")
+    if os.path.isdir(path):
+        raise ConfigurationError(f"input path {path} is a directory")
+    if not os.access(path, os.R_OK):
+        raise ConfigurationError(f"input path {path} is not readable")
 
 
 def _write_report(args: argparse.Namespace, report: Report) -> None:
@@ -559,6 +569,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         _apply_config_file(args, parser)
         if args.output != "-":
             _check_output(args.output)
+        if getattr(args, "input", None):
+            _check_input(args.input)
         report = args.func(args)
         if report is not None:
             _write_report(args, report)

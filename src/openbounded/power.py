@@ -19,11 +19,7 @@ do not depend on that count: ``taskset -c 0`` gives the same output.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -248,82 +244,31 @@ def _sweep_moments(
     members: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     start: int,
     stop: int,
-) -> None:
-    """Fill ``moments[:, start:stop]``, every policy's moments at repetitions ``start..stop-1``."""
+) -> np.ndarray:
+    """Fill and return ``moments[:, start:stop]``, every policy's moments at
+    repetitions ``start..stop-1``."""
     n_fractions = moments.shape[3]
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(start, stop):
             buckets = _repetition_buckets(seed, r, rank_buckets)
             for i, member in enumerate(members):
                 moments[i, r] = _repetition_moments(member, buckets, n_fractions)
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on for the sweep.
-
-    1 where the platform cannot tell or cannot fork, in a process running
-    other threads (a fork copies them mid-step), and in a daemonic
-    ``multiprocessing`` worker, which may not start processes.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    # Where multiprocessing is not loaded, this process is none of its workers.
-    processes = sys.modules.get("multiprocessing")
-    if threading.active_count() > 1 or (processes and processes.current_process().daemon):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _sweep_block(send, moments: np.ndarray, start: int, stop: int, *inputs) -> None:
-    """A forked worker: fill its block of repetitions and send it, or send the exception."""
-    try:
-        _sweep_moments(moments, *inputs, start, stop)
-        reply = moments[:, start:stop]
-    except Exception as exc:
-        reply = exc
-    with contextlib.suppress(Exception):  # unsent, the block is filled by the parent
-        send.send(reply)
+    return moments[:, start:stop]
 
 
 def _parallel_sweep(moments: np.ndarray, workers: int, *inputs) -> None:
-    """``_sweep_moments`` over every repetition, one contiguous block per worker.
+    """``_sweep_moments`` over every repetition, one contiguous block per forked worker.
 
-    Forked workers inherit the inputs and send back their blocks, which are
-    joined in repetition order; the parent fills the first block itself. A
-    worker's exception is raised here. A worker that ends without a reply
-    (killed, say) has its block filled by the parent, with the same bits.
-    No worker outlives the call.
+    The blocks are joined in repetition order; ``parallel.run_blocks`` says
+    who fills which block and what happens when a worker fails.
     """
-    from multiprocessing import get_context  # only a sweep worth splitting pays the import
+    from .parallel import run_blocks
 
-    context = get_context("fork")
     repetitions = moments.shape[1]
     bounds = [repetitions * w // workers for w in range(workers + 1)]
-    jobs = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            receive, send = context.Pipe(duplex=False)
-            worker = context.Process(
-                target=_sweep_block, args=(send, moments, start, stop, *inputs), daemon=True
-            )
-            worker.start()
-            send.close()
-            jobs.append((worker, receive, start, stop))
-        _sweep_moments(moments, *inputs, bounds[0], bounds[1])
-        for _, receive, start, stop in jobs:
-            try:
-                reply = receive.recv()
-            except EOFError:
-                _sweep_moments(moments, *inputs, start, stop)
-                continue
-            if isinstance(reply, BaseException):
-                raise reply
-            moments[:, start:stop] = reply
-    finally:
-        for worker, receive, _, _ in jobs:
-            worker.terminate()
-            receive.close()
-            worker.join()
+    blocks = [(moments, *inputs, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    for (*_, start, stop), block in zip(blocks, run_blocks(_sweep_moments, blocks)):
+        moments[:, start:stop] = block
 
 
 def power_curve(
@@ -385,7 +330,9 @@ def compare_policies(
         inputs = (seed, _rank_buckets(len(traces), subsampled), members)
         workers = 1
         if len(traces) * repetitions >= PARALLEL_MIN_USER_REPS:
-            workers = min(_usable_cores(), repetitions)
+            from . import parallel  # only a sweep worth splitting loads the fork machinery
+
+            workers = min(parallel.usable_cores(), repetitions)
         if workers > 1:
             _parallel_sweep(moments, workers, *inputs)
         else:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -252,10 +253,6 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, "analyze", "-i", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_missing_file_exit_data(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "analyze", "-i", str(tmp_path / "nope.jsonl"))
-        assert code == 2
 
     def test_unknown_flag_exit_usage(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--nonsense")
@@ -552,6 +549,27 @@ class TestOutputPath:
         code, stdout, err = run_cli(capsys, *argv, "-o", str(tmp_path / ("x" * 300)))
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+class TestInputPath:
+    """An ``-i`` that cannot be read exits 1 before the log reader runs."""
+
+    @pytest.mark.parametrize("where", ["missing", "directory", "unreadable"])
+    @pytest.mark.parametrize("command", ["analyze", "power"])
+    def test_unreadable_input_refused_first(self, tmp_path, capsys, monkeypatch, command, where):
+        monkeypatch.setattr(cli, "read_event_log", Unreachable())
+        path = tmp_path if where == "directory" else tmp_path / "log.jsonl"
+        if where == "unreadable":
+            path.write_text('{"user_id":"u1","day":1,"value":1.0,"variant":"T"}\n')
+            path.chmod(0)
+            if os.access(path, os.R_OK):  # the superuser reads any file
+                access = os.access
+                monkeypatch.setattr(os, "access", lambda p, mode: p != str(path) and access(p, mode))
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(capsys, command, "-i", str(path), "-o", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: input path ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestParameterChecks:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from openbounded import (
     write_event_log,
     OPEN,
 )
-from openbounded import eventlog
+from openbounded import eventlog, parallel
 from openbounded.cli import main
 from openbounded.eventlog import WRITE_CHUNK_ROWS, sidecar_path, write_metadata
 from conftest import VARIANT_CODES, make_table, user_rows
@@ -317,6 +319,100 @@ class TestMatchesReferenceReader:
             return reader(path, calendar, require_variant=require_variant)
         except DataFormatError as exc:
             return str(exc)
+
+
+def _force_parallel_read(patch, workers):
+    """Send every JSONL read through ``workers`` forked workers."""
+    patch.setattr(eventlog, "PARALLEL_MIN_BYTES", 0)
+    patch.setattr(parallel, "usable_cores", lambda: workers)
+
+
+def _fail_in_workers(patch, fail):
+    """Make each range decode call ``fail`` in any process but this one."""
+    parent, decode = os.getpid(), eventlog._decode_jsonl
+
+    def decode_or_fail(*args):
+        if os.getpid() != parent:
+            fail()
+        return decode(*args)
+
+    patch.setattr(eventlog, "_decode_jsonl", decode_or_fail)
+
+
+class TestParallelRead:
+    """A JSONL log read in byte ranges by forked workers, against the reference reader."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.one_of(CANONICAL_LINES, CANONICAL_LINES, NEAR_CANONICAL_LINES,
+                          st.one_of(ROWS, CLEAN_ROWS, RAW_LINES).map(_jsonl_line)),
+                st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]),
+            ),
+            max_size=40,
+        ),
+        last=st.one_of(st.just(""), CANONICAL_LINES, NEAR_CANONICAL_LINES),
+        bom=st.booleans(),
+        workers=st.sampled_from([2, 3]),
+    )
+    def test_matches_reference(self, tmp_path_factory, lines, last, bom, workers):
+        """Small chunks, so that chunk and range cuts fall between one user's
+        rows, conflicts and missing variants; the last line may lack its "\\n"."""
+        text = ("\ufeff" if bom else "") + "".join(line + nl for line, nl in lines) + last
+        path = tmp_path_factory.mktemp("log") / "log.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        calendar = ExperimentCalendar(k=14)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eventlog, "READ_CHUNK_LINES", 2)
+            _force_parallel_read(patch, workers)
+            for require_variant in (False, True):
+                assert TestMatchesReferenceReader._outcome(
+                    read_event_log, path, calendar, require_variant
+                ) == TestMatchesReferenceReader._outcome(
+                    read_reference, path, calendar, require_variant
+                )
+                assert not multiprocessing.active_children()
+
+    @staticmethod
+    def _log(tmp_path):
+        path = tmp_path / "events.jsonl"
+        traces = simulate_model1(Model1Params(p=0.5, tau=1.0, sigma=1.0), 60, Seed(6))
+        write_event_log(path, traces)
+        return path
+
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 7.45 GiB"), DataFormatError("line 7 past float range"),
+    ], ids=["memory", "data"])
+    def test_worker_exception_raised_in_parent(self, tmp_path, monkeypatch, monday14, error):
+        path = self._log(tmp_path)
+        _force_parallel_read(monkeypatch, 3)
+
+        def fail():
+            raise error
+
+        _fail_in_workers(monkeypatch, fail)
+        with pytest.raises(type(error)) as raised:
+            read_event_log(path, monday14)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        assert not multiprocessing.active_children()
+
+    def test_worker_ending_without_reply_is_refilled(self, tmp_path, monkeypatch, monday14):
+        path = self._log(tmp_path)
+        expected = read_event_log(path, monday14, require_variant=True)
+        _force_parallel_read(monkeypatch, 3)
+        _fail_in_workers(monkeypatch, lambda: os._exit(1))
+        assert read_event_log(path, monday14, require_variant=True) == expected
+        assert not multiprocessing.active_children()
+
+    def test_later_range_not_utf8(self, tmp_path, monkeypatch, monday14):
+        path = self._log(tmp_path)
+        bad_line = b'{"day":1,"user_id":"\xff","value":1.0,"variant":"T"}\n'
+        path.write_bytes(path.read_bytes() + bad_line)
+        _force_parallel_read(monkeypatch, 2)
+        with pytest.raises(DataFormatError, match="is not UTF-8"):
+            read_event_log(path, monday14)
+        assert not multiprocessing.active_children()
 
 
 class TestJsonlParsing:

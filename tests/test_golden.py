@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from openbounded import power
+from openbounded import eventlog, parallel, power
 from openbounded.cli import main
 
 GOLDEN = {
@@ -77,16 +77,20 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_power_digests_hold_on_the_parallel_path(tmp_path, monkeypatch, workers):
-    """The sweep split across forked workers writes the same bytes as the serial one."""
+    """The log read and the sweep split across forked workers write the same
+    bytes as the serial ones."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(eventlog, "PARALLEL_MIN_BYTES", 0)
     monkeypatch.setattr(power, "PARALLEL_MIN_USER_REPS", 0)
-    monkeypatch.setattr(power, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: workers)
     assert main(["simulate", "--model", "model1", "--p", "0.4", "--tau", "1.0", "--sigma", "1.0",
                  "--n-per-arm", "200", "--seed", "42", "-o", "events.jsonl"]) == 0
+    assert main(["analyze", "-i", "events.jsonl", "-o", "report.json"]) == 0
+    assert main(["analyze", "-i", "events.jsonl", "--format", "csv", "-o", "report.csv"]) == 0
     assert main(["power", "-i", "events.jsonl", "--fractions", "0.5,1.0", "--reps", "40",
                  "--seed", "42", "--format", "csv", "-o", "power.csv"]) == 0
     _strip_variants(Path("events.jsonl"), Path("raw.jsonl"))
     assert main(["power", "-i", "raw.jsonl", "--inject-lift", "0.01", "--fractions", "0.5,1.0",
                  "--reps", "40", "--seed", "42", "--format", "json", "-o", "inject.json"]) == 0
-    for name in ("power.csv", "inject.json"):
+    for name in ("report.json", "report.csv", "power.csv", "inject.json"):
         assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == GOLDEN[name]

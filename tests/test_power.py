@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from openbounded import (
     bounded,
     compare_policies,
     delta_estimate,
+    parallel,
     power,
     power_curve,
     simulate_model1,
@@ -220,7 +220,7 @@ class TestNestedSubsamples:
 def _force_workers(monkeypatch, workers):
     """Make every sweep take the parallel path with ``workers`` processes."""
     monkeypatch.setattr(power, "PARALLEL_MIN_USER_REPS", 0)
-    monkeypatch.setattr(power, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: workers)
 
 
 def _fail_in_workers(monkeypatch, fail):
@@ -249,22 +249,6 @@ class TestParallelSweep:
                    for policy in (OPEN, bounded(7))]
         rank_buckets = _rank_buckets(len(traces), TestParallelSweep.FRACTIONS[:-1])
         return traces, (Seed(32), rank_buckets, members)
-
-    def test_no_fork_beside_other_threads(self):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert power._usable_cores() == 1
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert power._usable_cores() == len(os.sched_getaffinity(0))
-
-    def test_no_fork_in_a_daemonic_worker(self):
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply(power._usable_cores) == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_moments_bit_identical_to_serial(self, monday14, workers):
