@@ -27,25 +27,30 @@ from .core import (
     Weekday,
     bounded,
 )
-from .eventlog import IngestReport, read_event_log, write_event_log
-from .metrics import (
-    AnalysisResult,
-    GroupSummary,
-    TestKind,
-    delta_estimate,
-    group_summary,
-    weekend_ratio_gamma,
-)
-from .power import PowerCurve, PowerCurvePoint, compare_policies, power_curve
-from .simulate import (
-    EffectKind,
-    EffectSpec,
-    Seed,
-    inject_effect,
-    simulate_model1,
-    simulate_model2,
-    strip_variants,
-)
+
+# The layers a command may not run are imported on first use of one of
+# their names (PEP 562), so ``analytic`` and ``--version`` never load them.
+_LAZY = {
+    **dict.fromkeys(("IngestReport", "read_event_log", "write_event_log"), "eventlog"),
+    **dict.fromkeys(("AnalysisResult", "GroupSummary", "TestKind", "delta_estimate",
+                     "group_summary", "weekend_ratio_gamma"), "metrics"),
+    **dict.fromkeys(("PowerCurve", "PowerCurvePoint", "compare_policies", "power_curve"), "power"),
+    **dict.fromkeys(("EffectKind", "EffectSpec", "Seed", "inject_effect", "simulate_model1",
+                     "simulate_model2", "strip_variants"), "simulate"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AnalysisResult",

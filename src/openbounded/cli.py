@@ -8,6 +8,10 @@ data, 3 structurally valid but insufficient data. Errors print a single
 every other command returns a ``Report`` that ``_write_report`` alone writes,
 as CSV or as JSON embedding the resolved configuration and the tool version.
 Rerunning a command with the same configuration produces byte-identical files.
+
+Each command loads only the layers it runs: the ``simulate``, ``eventlog``,
+``metrics`` and ``power`` modules are imported inside the functions that
+call them, so ``analytic --model model1`` and ``--version`` load none of them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .analytic import (
@@ -44,10 +48,9 @@ from .core import (
     Weekday,
     bounded,
 )
-from .eventlog import read_event_log, write_event_log, write_metadata
-from .metrics import TestKind, delta_estimate, delta_from_samples, metric_table
-from .power import PowerCurvePoint, compare_policies
-from .simulate import EffectKind, EffectSpec, Seed, inject_effect, simulate_model1, simulate_model2
+
+if TYPE_CHECKING:
+    from .simulate import Seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,6 +119,8 @@ def _finite(label: str, minimum: float = -math.inf) -> Callable[[str], float]:
 
 
 def _resolve_seed(args: argparse.Namespace) -> Seed:
+    from .simulate import Seed
+
     if args.seed is not None:
         return Seed(args.seed)
     env = os.environ.get(SEED_ENV_VAR)
@@ -275,6 +280,8 @@ def _write_report(args: argparse.Namespace, report: Report) -> None:
 
 
 def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, seed: Seed):
+    from .simulate import simulate_model1, simulate_model2
+
     terms = dict(tau=args.tau, tau_prime=args.tau_prime, sigma=args.sigma, c=args.c,
                  calendar=calendar)
     draws = dict(sigma_user=args.sigma_user, noise_kind=args.noise)
@@ -288,6 +295,8 @@ def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, see
 def cmd_simulate(args: argparse.Namespace) -> None:
     if args.output == "-":
         raise ConfigurationError("simulate writes a log and its sidecar: give a path with -o")
+    from .eventlog import write_event_log, write_metadata
+
     calendar = _calendar(args)
     seed = _resolve_seed(args)
     params, traces = _simulate_traces(args, calendar, seed)
@@ -319,6 +328,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _load_traces(args: argparse.Namespace, calendar: ExperimentCalendar, require_variant: bool):
+    from .eventlog import read_event_log
+
     traces, report = read_event_log(args.input, calendar, require_variant=require_variant)
     if report.total_rows == 0:
         raise InsufficientDataError(f"event log {args.input} holds no rows")
@@ -333,6 +344,8 @@ def _load_traces(args: argparse.Namespace, calendar: ExperimentCalendar, require
 
 
 def cmd_analyze(args: argparse.Namespace) -> Report:
+    from .metrics import TestKind, delta_from_samples, metric_table
+
     calendar = _calendar(args)
     policies = _policies(args)
     test = TestKind(args.test)
@@ -352,6 +365,10 @@ def cmd_analyze(args: argparse.Namespace) -> Report:
 
 
 def cmd_power(args: argparse.Namespace) -> Report:
+    from .metrics import TestKind
+    from .power import PowerCurvePoint, compare_policies
+    from .simulate import EffectKind, EffectSpec, inject_effect
+
     calendar = _calendar(args)
     policies = _policies(args)
     seed = _resolve_seed(args)
@@ -422,6 +439,9 @@ def _analytic_model1_rows(args: argparse.Namespace, calendar: ExperimentCalendar
 
 def _model2_pipeline_bias(policy: InclusionPolicy, calendar: ExperimentCalendar) -> float:
     """Independent check: run the noiseless simulator through the estimator."""
+    from .metrics import TestKind, delta_estimate
+    from .simulate import Seed, simulate_model2
+
     params = Model2Params(ns=1, tau=0.0, tau_prime=1.0, sigma=0.0, calendar=calendar)
     traces = simulate_model2(params, Seed(0))
     res = delta_estimate(traces, policy, calendar, TestKind.Z)

@@ -94,26 +94,32 @@ def metric_table(
     """Apply the inclusion rule to every user and compute per-user metrics."""
     traces.require_calendar(calendar)
     present = traces.present
-    active = present.any(axis=1)
-    first_day = np.where(active, present.argmax(axis=1) + 1, 0)
+    n = len(traces)
+    # argmax is 0 both for a user first active on day 1 and for one never
+    # active; the cell it points at tells them apart.
+    first = present.argmax(axis=1)
+    active = present[np.arange(n), first]
+    first_day = np.where(active, first + 1, 0)
     included = active & (first_day <= policy.admission_deadline(calendar))
     last_day = np.broadcast_to(policy.last_day(first_day, calendar), first_day.shape)
     window = present & included[:, None] & (np.arange(1, calendar.k + 1) <= last_day[:, None])
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
-    total = np.zeros(len(traces))
+    total = np.zeros(n)
+    active_days = np.zeros(n, dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         for day in range(calendar.k):
-            total += np.where(window[:, day], traces.values[:, day], 0.0)
+            column = window[:, day]
+            total += np.where(column, traces.values[:, day], 0.0)
+            active_days += column
     overflowed = np.flatnonzero(~np.isfinite(total))
     if overflowed.size:
         raise DataFormatError(
             f"user {traces.user_ids[overflowed[0]]}: analysed values sum to a non-finite value"
         )
-    active_days = window.sum(axis=1)
-    weekend_days = (window & calendar.weekend_mask()).sum(axis=1)
-    values = np.full(len(traces), np.nan)
-    weekend_share = np.full(len(traces), np.nan)
+    weekend_days = np.count_nonzero(window[:, calendar.weekend_mask()], axis=1)
+    values = np.full(n, np.nan)
+    weekend_share = np.full(n, np.nan)
     values[included] = total[included] / active_days[included]
     weekend_share[included] = weekend_days[included] / active_days[included]
     return MetricTable(

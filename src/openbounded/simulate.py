@@ -13,7 +13,7 @@ the day-level noise and adds the treatment effect.
 from __future__ import annotations
 
 import enum
-import hashlib
+import functools
 import math
 from dataclasses import dataclass
 from dataclasses import replace
@@ -32,6 +32,9 @@ from .core import (
 )
 
 NoiseKind = Literal["normal", "lognormal"]
+# Id tuples of this many user counts are kept: a Monte-Carlo loop
+# simulates one or two sizes many times over.
+USER_ID_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,12 @@ def _noise_matrix(
     raise ConfigurationError(f"unknown noise kind: {kind!r}")
 
 
+@functools.lru_cache(maxsize=USER_ID_CACHE_SIZE)
+def _user_ids(total: int) -> tuple[str, ...]:
+    """``u0000000``, ``u0000001``, ... for ``total`` users, formatted once per count."""
+    return tuple(map("u{:07d}".format, range(total)))
+
+
 # Overflow is caught by the finiteness check below, not warned about.
 @np.errstate(over="ignore", invalid="ignore")
 def _simulated_table(
@@ -120,7 +129,7 @@ def _simulated_table(
             "the parameters reach past float range"
         )
     return TraceTable(
-        user_ids=[f"u{i:07d}" for i in range(total)],
+        user_ids=_user_ids(total),
         variants=(np.arange(total) < n_treated).astype(np.int8),
         present=presence,
         values=values,
@@ -185,6 +194,8 @@ def _assign_treatment(seed: Seed, user_ids: Sequence[str]) -> np.ndarray:
     The keyed hash is set up once and copied for each id; the digests are
     those of a fresh ``blake2b`` per id.
     """
+    import hashlib
+
     keyed = hashlib.blake2b(digest_size=8, key=seed.base.to_bytes(8, "little"))
 
     def heads(user_id: str) -> bool:

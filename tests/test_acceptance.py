@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Monte-Carlo criteria use
 pinned seeds, so every run is deterministic. The whole module finishes in
-about two minutes on a laptop-class machine.
+about 8 s on a shared 2-core box.
 """
 
 import hashlib

@@ -2,11 +2,18 @@
 
 import dataclasses
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import openbounded
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Change only on purpose, like the golden digests: a name added or removed
 # here is an API change that CHANGES.md records.
@@ -94,3 +101,43 @@ def test_traced_names_resolve(monkeypatch):
         missing += [f"{module_name}.{name}" for name in names
                     if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+# Layers, and the standard modules only they import, that a command which does
+# not run them must leave unloaded: they cost a child process its start-up time.
+UNRUN_LAYERS = {
+    "openbounded.eventlog", "openbounded.metrics", "openbounded.power", "openbounded.simulate",
+    "openbounded.parallel", "hashlib", "multiprocessing",
+}
+
+
+def _fresh_run(body: str):
+    """Run ``body`` in a fresh interpreter with ``src`` on its path; return the
+    JSON value it prints last."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", body], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [None, ["--version"], ["analytic", "--model", "model1"]],
+                         ids=["import", "version", "analytic-model1"])
+def test_commands_load_only_their_layers(argv):
+    body = "import contextlib, io, json, sys\nimport openbounded\n"
+    if argv is not None:
+        body += ("from openbounded.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert main({argv!r}) == 0\n")
+    body += "print(json.dumps(sorted(sys.modules)))"
+    assert set(_fresh_run(body)) & UNRUN_LAYERS == set()
+
+
+def test_lazy_names_listed_and_star_imported():
+    body = ("import json, openbounded\n"
+            "listed = dir(openbounded)\n"
+            "namespace = {}\n"
+            "exec('from openbounded import *', namespace)\n"
+            "print(json.dumps([listed, sorted(namespace)]))")
+    listed, star = _fresh_run(body)
+    assert set(PUBLIC_NAMES) <= set(listed)
+    assert sorted(set(star) - {"__builtins__"}) == PUBLIC_NAMES

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from openbounded import analytic, cli, eventlog, power, simulate
+from openbounded import analytic, cli, eventlog, metrics, power, simulate
 from openbounded.cli import main
 
 
@@ -509,14 +509,17 @@ class TestAnalyticCommand:
 class TestOutputPath:
     """An ``-o`` that cannot be a file exits 1 before the command does its work."""
 
-    # argv, and the work each command does first, replaced by ``Unreachable``.
+    # argv, and the work each command does first, replaced by ``Unreachable`` in the
+    # module that defines it: a command imports its layers when it runs.
     COMMANDS = {
         "simulate": (["simulate", "--model", "model1", "--n-per-arm", "3"],
-                     ("simulate_model1",)),
-        "analyze": (["analyze", "-i", "log.jsonl"], ("read_event_log", "metric_table")),
+                     ((simulate, "simulate_model1"),)),
+        "analyze": (["analyze", "-i", "log.jsonl"],
+                    ((eventlog, "read_event_log"), (metrics, "metric_table"))),
         "power": (["power", "--model", "model1", "--n-per-arm", "10", "--reps", "2"],
-                  ("simulate_model1", "compare_policies")),
-        "analytic": (["analytic", "--model", "model1"], ("model1_bias", "enumeration_oracle")),
+                  ((simulate, "simulate_model1"), (power, "compare_policies"))),
+        "analytic": (["analytic", "--model", "model1"],
+                     ((cli, "model1_bias"), (cli, "enumeration_oracle"))),
     }
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -524,8 +527,8 @@ class TestOutputPath:
     def test_unwritable_output_refused_first(self, tmp_path, capsys, monkeypatch, command,
                                              where):
         argv, work = self.COMMANDS[command]
-        for name in work:
-            monkeypatch.setattr(cli, name, Unreachable())
+        for module, name in work:
+            monkeypatch.setattr(module, name, Unreachable())
         output = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
         code, stdout, err = run_cli(capsys, *argv, "-o", str(output))
         assert code == 1 and stdout == ""
@@ -535,8 +538,8 @@ class TestOutputPath:
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     def test_empty_output_refused(self, capsys, monkeypatch, command):
         argv, work = self.COMMANDS[command]
-        for name in work:
-            monkeypatch.setattr(cli, name, Unreachable())
+        for module, name in work:
+            monkeypatch.setattr(module, name, Unreachable())
         code, _, err = run_cli(capsys, *argv, "-o", "")
         assert code == 1 and err == "error: the output path is empty\n"
 
@@ -557,7 +560,7 @@ class TestInputPath:
     @pytest.mark.parametrize("where", ["missing", "directory", "unreadable"])
     @pytest.mark.parametrize("command", ["analyze", "power"])
     def test_unreadable_input_refused_first(self, tmp_path, capsys, monkeypatch, command, where):
-        monkeypatch.setattr(cli, "read_event_log", Unreachable())
+        monkeypatch.setattr(eventlog, "read_event_log", Unreachable())
         path = tmp_path if where == "directory" else tmp_path / "log.jsonl"
         if where == "unreadable":
             path.write_text('{"user_id":"u1","day":1,"value":1.0,"variant":"T"}\n')

@@ -11,12 +11,14 @@ from openbounded import (
     ExperimentCalendar,
     InsufficientDataError,
     Model1Params,
+    Model2Params,
     Seed,
     TestKind,
     bounded,
     delta_estimate,
     group_summary,
     simulate_model1,
+    simulate_model2,
     weekend_ratio_gamma,
 )
 from openbounded.metrics import metric_table
@@ -45,6 +47,18 @@ def _reference_loop(table, policy, calendar):
     return np.array(metrics), np.array(shares)
 
 
+def _assert_matches_reference_loop(table, policy, calendar):
+    metrics = metric_table(table, policy, calendar)
+    values, shares = _reference_loop(table, policy, calendar)
+    np.testing.assert_array_equal(metrics.values, values)
+    np.testing.assert_array_equal(metrics.weekend_share, shares)
+    included = shares[~np.isnan(shares)]
+    running = 0.0
+    for share in included:
+        running += share
+    assert weekend_ratio_gamma(table, policy, calendar) == running / included.size
+
+
 class TestUserMetric:
     def test_mean_of_two_values(self):
         assert _user_metric({1: 2.0, 3: 4.0}) == 3.0
@@ -66,15 +80,20 @@ class TestUserMetric:
     def test_matches_reference_loop_bit_for_bit(self, monday14, policy):
         params = Model1Params(p=0.2, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0)
         table = simulate_model1(params, 500, Seed(8))
-        metrics = metric_table(table, policy, monday14)
-        values, shares = _reference_loop(table, policy, monday14)
-        np.testing.assert_array_equal(metrics.values, values)
-        np.testing.assert_array_equal(metrics.weekend_share, shares)
-        included = shares[~np.isnan(shares)]
-        running = 0.0
-        for share in included:
-            running += share
-        assert weekend_ratio_gamma(table, policy, monday14) == running / included.size
+        _assert_matches_reference_loop(table, policy, monday14)
+
+    @pytest.mark.parametrize("policy", [OPEN, bounded(7), bounded(3)])
+    def test_matches_reference_loop_on_model2(self, policy):
+        params = Model2Params(ns=20, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0)
+        _assert_matches_reference_loop(simulate_model2(params, Seed(8)), policy, params.calendar)
+
+    @pytest.mark.parametrize("policy", [OPEN, bounded(7), bounded(3)])
+    def test_matches_reference_loop_past_255_days(self, policy):
+        """Open users stay past 255 analysed days: a narrow day counter would wrap."""
+        calendar = ExperimentCalendar(300)
+        params = Model1Params(p=0.95, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0,
+                              calendar=calendar)
+        _assert_matches_reference_loop(simulate_model1(params, 40, Seed(8)), policy, calendar)
 
 
 class TestGroupSummary:

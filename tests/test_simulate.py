@@ -23,6 +23,7 @@ from openbounded import (
     strip_variants,
     weekend_ratio_gamma,
 )
+from openbounded import simulate
 from openbounded.metrics import metric_table
 from conftest import make_table
 
@@ -172,6 +173,34 @@ def test_outcomes_past_float_range_refused(params, noise_kind):
             simulate_model1(params, 20, Seed(1), noise_kind=noise_kind)
         else:
             simulate_model2(params, Seed(1), noise_kind=noise_kind)
+
+
+class TestUserIds:
+    """Simulated ids are formatted once per user count and shared, never copied."""
+
+    def test_one_tuple_per_size(self):
+        first = simulate_model1(Model1Params(p=0.5), 25, Seed(1))
+        second = simulate_model1(Model1Params(p=0.2), 25, Seed(2))
+        assert first.user_ids is second.user_ids
+        model2 = simulate_model2(Model2Params(ns=2), Seed(3))
+        assert model2.user_ids is simulate_model2(Model2Params(ns=2), Seed(4)).user_ids
+        assert first.user_ids is not model2.user_ids
+
+    @pytest.mark.parametrize("total", [0, 1, 56, 12345])
+    def test_ids_match_format(self, total):
+        assert simulate._user_ids(total) == tuple(f"u{i:07d}" for i in range(total))
+
+    def test_cache_bounded(self):
+        for total in range(1, 3 * simulate.USER_ID_CACHE_SIZE):
+            simulate._user_ids(total)
+            info = simulate._user_ids.cache_info()
+            assert info.currsize <= info.maxsize == simulate.USER_ID_CACHE_SIZE
+
+    def test_strip_and_inject_keep_ids(self, monday14):
+        traces = simulate_model1(Model1Params(p=0.5), 40, Seed(5))
+        raw = strip_variants(traces)
+        injected = inject_effect(raw, EffectSpec(EffectKind.ABSOLUTE, 1.0), monday14, Seed(6))
+        assert raw.user_ids is traces.user_ids and injected.user_ids is traces.user_ids
 
 
 class TestInjectEffect:
