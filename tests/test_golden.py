@@ -38,7 +38,15 @@ GOLDEN = {
         "20bedcc3feb9ebf9fd602387459a705a235fb339b68e0dd5bfedae5b01cd9c92",
     "stdout.json":
         "da29fc6f88ec4cf528a087eeb9192cfa6fb95ba077a687062c610809f7869045",
+    "welch.csv":
+        "0528368acfc56f39fab9cff59ec43d7b7e19722d7262af431cbe95ae1e65a0ef",
 }
+
+# Welch's test where it and the z test disagree: a lift that rejects in some
+# repetitions only, and a 1% fraction whose subsamples are often degenerate.
+WELCH_POWER = ["power", "-i", "raw.jsonl", "--inject-lift", "0.2", "--test", "welch",
+               "--fractions", "0.01,0.1,0.5,1.0", "--reps", "40", "--seed", "42",
+               "--format", "csv", "-o", "welch.csv"]
 
 
 def _strip_variants(src: Path, dst: Path) -> None:
@@ -68,6 +76,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     _strip_variants(Path("events.jsonl"), Path("raw.jsonl"))
     assert main(["power", "-i", "raw.jsonl", "--inject-lift", "0.01", "--fractions", "0.5,1.0",
                  "--reps", "40", "--seed", "42", "--format", "json", "-o", "inject.json"]) == 0
+    assert main(WELCH_POWER) == 0
     capsys.readouterr()
     assert main(["analyze", "-i", "events.jsonl", "--test", "welch", "-o", "-"]) == 0
     Path("stdout.json").write_bytes(capsys.readouterr().out.encode("utf-8"))
@@ -92,5 +101,6 @@ def test_power_digests_hold_on_the_parallel_path(tmp_path, monkeypatch, workers)
     _strip_variants(Path("events.jsonl"), Path("raw.jsonl"))
     assert main(["power", "-i", "raw.jsonl", "--inject-lift", "0.01", "--fractions", "0.5,1.0",
                  "--reps", "40", "--seed", "42", "--format", "json", "-o", "inject.json"]) == 0
-    for name in ("report.json", "report.csv", "power.csv", "inject.json"):
+    assert main(WELCH_POWER) == 0
+    for name in ("report.json", "report.csv", "power.csv", "welch.csv", "inject.json"):
         assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == GOLDEN[name]
