@@ -168,12 +168,8 @@ def delta_from_samples(
     if n_c < 2:
         raise InsufficientDataError(f"control group has {n_c} included users; need >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = float(treatment.mean() - control.mean())
-        vt = float(treatment.var(ddof=1))
-        vc = float(control.var(ddof=1))
-        variance = vt / n_t + vc / n_c
-    _require_finite(delta, variance)
-    statistic, p_value = _two_sided_test(delta, variance, vt, n_t, vc, n_c, test)
+        arms = [(x.size, x.mean(), x.var(ddof=1)) for x in (treatment, control)]
+    delta, variance, statistic, p_value = map(float, _two_sample_tests(*arms[0], *arms[1], test))
     return AnalysisResult(
         delta=delta,
         variance=variance,
@@ -184,29 +180,45 @@ def delta_from_samples(
     )
 
 
-def _require_finite(delta, variance) -> None:
-    """Reject a delta or variance (scalar or array) that overflowed."""
-    if not (np.isfinite(delta).all() and np.isfinite(variance).all()):
+def _two_sample_tests(n_t, mean_t, var_t, n_c, mean_c, var_c, test: TestKind) -> tuple:
+    """Delta, variance, statistic and two-sided p-value of every cell, from per-arm moments.
+
+    Takes each arm's user count, mean and unbiased variance as arrays that
+    broadcast together. A cell with an arm below two users is NaN throughout,
+    and a zero variance gives statistic 0 or +-inf and p-value 1 or 0.
+    """
+    with np.errstate(all="ignore"):
+        ok = (n_t >= 2) & (n_c >= 2)
+        a, b = var_t / n_t, var_c / n_c
+        delta = np.where(ok, mean_t - mean_c, np.nan)
+        variance = np.where(ok, a + b, np.nan)
+        flat = variance == 0.0
+        statistic = np.where(flat & (delta == 0.0), 0.0, delta / np.sqrt(variance))
+        if test is TestKind.Z:  # math.erfc keeps scipy's import cost off the default test
+            p_value = np.vectorize(math.erfc, otypes=[float])(np.abs(statistic) / math.sqrt(2.0))
+        else:
+            from scipy.special import stdtr
+
+            p_value = 2.0 * stdtr(_welch_df(a, b, variance, n_t, n_c), -np.abs(statistic))
+        p_value = np.clip(np.where(flat, delta == 0.0, p_value), 0.0, 1.0)
+    if not np.isfinite((delta[ok], variance[ok])).all():
         raise DataFormatError("per-user metrics too large: the delta or its variance overflows")
+    return delta, variance, statistic, p_value
 
 
-def _two_sided_test(
-    delta: float, variance: float, vt: float, n_t: int, vc: float, n_c: int, test: TestKind
-) -> tuple[float, float]:
-    if variance <= 0.0:
-        # Deterministic outcomes: any nonzero difference is certain.
-        if delta == 0.0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, delta), 0.0
-    statistic = delta / math.sqrt(variance)
-    if test is TestKind.Z:
-        p_value = math.erfc(abs(statistic) / math.sqrt(2.0))
-    else:
-        from scipy import stats
+def _welch_df(a, b, variance, n_t, n_c):
+    """Welch-Satterthwaite df of ``variance = a + b``, squared by libm ``pow`` as ``**`` is.
 
-        df = variance**2 / ((vt / n_t) ** 2 / (n_t - 1) + (vc / n_c) ** 2 / (n_c - 1))
-        p_value = 2.0 * float(stats.t.sf(abs(statistic), df))
-    return statistic, min(max(p_value, 0.0), 1.0)
+    Where the squares overflow or underflow, the same df comes from
+    ``a / variance`` and ``b / variance``, which lie in [0, 1].
+    """
+
+    def terms(scale):
+        return (np.float_power(a / scale, 2.0) / (n_t - 1)
+                + np.float_power(b / scale, 2.0) / (n_c - 1))
+
+    df = np.float_power(variance, 2.0) / terms(1.0)
+    return np.where(np.isfinite(df), df, 1.0 / terms(variance))
 
 
 def delta_estimate(

@@ -37,8 +37,7 @@ from .core import (
 from .metrics import (
     MetricTable,
     TestKind,
-    _require_finite,
-    _two_sided_test,
+    _two_sample_tests,
     delta_from_samples,
     metric_table,
 )
@@ -213,27 +212,15 @@ def _subsample_tests(
 
     ``moments`` stacks each repetition's ``_repetition_moments`` to shape
     ``(repetitions, 3, fractions, 2)``; its last axis, like that of the
-    returned group sizes, is (control, treatment). The rules are those of
-    ``delta_from_samples``: a subsample leaving an arm below two users is
-    degenerate (NaN delta, variance and p-value), and a delta or variance
-    that overflows is a data error.
+    returned group sizes, is (control, treatment). ``metrics._two_sample_tests``
+    tests every cell: one with an arm below two users is degenerate (NaN).
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n, mu, m2 = _merge_cumulative(*np.moveaxis(moments, 1, 0))
-        n_c, n_t = n[..., 0], n[..., 1]
-        ok = (n_t >= 2) & (n_c >= 2)
-        vt = np.where(ok, m2[..., 1] / (n_t - 1), np.nan)
-        vc = np.where(ok, m2[..., 0] / (n_c - 1), np.nan)
-        deltas = np.where(ok, mu[..., 1] - mu[..., 0], np.nan)
-        variances = vt / n_t + vc / n_c
-    _require_finite(deltas[ok], variances[ok])
-    p_values = np.full(ok.shape, np.nan)
-    columns = [a.tolist() for a in (deltas, variances, vt, n_t, vc, n_c)]
-    for r, j in np.argwhere(ok).tolist():
-        delta, variance, v_t, size_t, v_c, size_c = (c[r][j] for c in columns)
-        p_values[r, j] = _two_sided_test(
-            delta, variance, v_t, int(size_t), v_c, int(size_c), test
-        )[1]
+        var = m2 / (n - 1)
+    deltas, variances, _, p_values = _two_sample_tests(
+        n[..., 1], mu[..., 1], var[..., 1], n[..., 0], mu[..., 0], var[..., 0], test
+    )
     return n, deltas, variances, p_values
 
 

@@ -132,6 +132,27 @@ def test_commands_load_only_their_layers(argv):
     assert set(_fresh_run(body)) & UNRUN_LAYERS == set()
 
 
+@pytest.mark.parametrize("test", ["z", "welch"])
+def test_only_welch_loads_scipy_and_never_its_stats(tmp_path, test):
+    # Importing scipy.special costs a child about a third of a second, and
+    # scipy.stats three times that; the z test needs neither.
+    rows = [{"user_id": f"u{u}", "day": 1 + u % 3, "variant": "TC"[u % 2], "value": u % 5 / 2}
+            for u in range(12)]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    body = ("import contextlib, io, json, sys\n"
+            "from openbounded.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['analyze', '-i', {str(log)!r}, '--test', {test!r}]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    scipy = {name for name in _fresh_run(body) if name.split(".")[0] == "scipy"}
+    if test == "z":
+        assert scipy == set()
+    else:
+        assert "scipy.special" in scipy
+        assert not any(name.startswith("scipy.stats") for name in scipy)
+
+
 def test_lazy_names_listed_and_star_imported():
     body = ("import json, openbounded\n"
             "listed = dir(openbounded)\n"

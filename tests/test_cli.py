@@ -262,6 +262,25 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(capsys, "analyze", "-i", str(small_log), "--test", "welch")
         assert code == 0 and json.loads(out)["config"]["test"] == "welch"
 
+    @pytest.mark.parametrize("scale", [1e79, 1e-160])
+    def test_welch_where_variance_squares_leave_float_range(self, tmp_path, capsys, scale):
+        # The variance's square overflows at 1e79 and underflows to 0 at
+        # 1e-160; Welch's degrees of freedom must not need it.
+        rows = [{"user_id": f"{arm}{u}", "day": 1 + u % 3, "variant": arm.upper(),
+                 "value": (base + u % 3) * scale}
+                for arm, base in (("t", 100.0), ("c", 1.0)) for u in range(8)]
+        path = tmp_path / "scaled.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out, err = run_cli(capsys, "analyze", "-i", str(path), "--test", "welch")
+        assert code == 0 and err == ""
+        p_values = [result["p_value"] for result in json.loads(out)["results"]]
+        assert len(p_values) == 2 and all(0.0 <= p < 0.05 for p in p_values)
+        code, out, err = run_cli(capsys, "power", "-i", str(path), "--test", "welch",
+                                 "--fractions", "0.5,1.0", "--reps", "4")
+        assert code == 0 and err == ""
+        for curve in json.loads(out)["curves"]:
+            assert curve["points"][-1]["power"] == 1.0
+
 
 class TestPowerCommand:
     def test_single_fraction_matches_analyze(self, tmp_path, capsys):

@@ -30,7 +30,8 @@ FLOATS = [-1.0, 0.0, 0.3, 1.0, 1e308]
 TEXTS = ["", "é", "日本", "nan", "-inf", "1e999", "0.5", "0.1,1.0", "0:1:0.5", "sat"]
 JSON_VALUES = [*INTS, *NON_FINITE, *FLOATS, *TEXTS, True, False, None, [], ["open"],
                ["bounded", "open"], ["é"], {"k": 7}]
-PATHS = {"input": ["log.jsonl", "raw.jsonl", "flat.jsonl", "missing.jsonl"],
+PATHS = {"input": ["log.jsonl", "raw.jsonl", "flat.jsonl", "huge.jsonl", "tiny.jsonl",
+                   "missing.jsonl"],
          "output": ["-", "out.txt"]}
 
 
@@ -58,12 +59,15 @@ def _arm(u):
     return "T" if u % 2 else "C"
 
 
-# Two arms with outcomes, one log without variants, and one whose arms are
-# constant: a zero variance with a nonzero delta, so an infinite statistic.
+# Two arms with outcomes, one log without variants, one whose arms are
+# constant: a zero variance with a nonzero delta, so an infinite statistic,
+# and two whose variances square past float range or below it.
 LOGS = {
     "log.jsonl": _log_text(_arm, lambda u, day: float(u % 3 + day)),
     "raw.jsonl": _log_text(lambda u: None, lambda u, day: float(u % 3 + day)),
     "flat.jsonl": _log_text(_arm, lambda u, day: float(u % 2)),
+    "huge.jsonl": _log_text(_arm, lambda u, day: float(u % 3 + day) * 1e79),
+    "tiny.jsonl": _log_text(_arm, lambda u, day: float(u % 3 + day) * 1e-160),
 }
 
 

@@ -21,8 +21,9 @@ from openbounded import (
     simulate_model2,
     weekend_ratio_gamma,
 )
-from openbounded.metrics import metric_table
+from openbounded.metrics import _two_sample_tests, _welch_df, metric_table
 from conftest import make_table, user_rows
+from metrics_reference import two_sided_test
 
 
 def _user_metric(day_values, policy=bounded(7)):
@@ -200,6 +201,62 @@ class TestDeltaEstimate:
         assert scaled.variance == pytest.approx(scale**2 * base.variance, rel=1e-9)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
         assert scaled.p_value == pytest.approx(base.p_value, abs=1e-12)
+
+
+SIZES = st.one_of(st.just(2), st.integers(2, 10**6))
+VARIANCES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 1e3),
+    st.floats(1e150, 1e300),  # the variance's square overflows
+    st.floats(5e-324, 1e-150),  # the squares underflow
+)
+
+
+@st.composite
+def _cells(draw):
+    """One test cell ``(n_t, var_t, n_c, var_c, delta)``."""
+    n_t, var_t, n_c, var_c = draw(SIZES), draw(VARIANCES), draw(SIZES), draw(VARIANCES)
+    spread = math.sqrt(var_t / n_t + var_c / n_c)
+    delta = draw(st.one_of(
+        st.just(0.0), st.floats(-6.0, 6.0).map(lambda z: z * spread), st.floats(-1e3, 1e3)
+    ))
+    return n_t, var_t, n_c, var_c, delta
+
+
+class TestTwoSampleKernel:
+    """``metrics._two_sample_tests`` against the scalar test in ``metrics_reference``."""
+
+    @given(st.lists(_cells(), min_size=1, max_size=8), st.sampled_from(list(TestKind)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_reference(self, cells, test):
+        n_t, var_t, n_c, var_c, delta = (np.array(column) for column in zip(*cells))
+        _, _, statistic, p_value = _two_sample_tests(n_t, delta, var_t, n_c, 0.0, var_c, test)
+        with np.errstate(all="ignore"):
+            df = _welch_df(var_t / n_t, var_c / n_c, var_t / n_t + var_c / n_c, n_t, n_c)
+        for i, (nt, vt, nc, vc, d) in enumerate(cells):
+            try:
+                expected = two_sided_test(d, vt / nt + vc / nc, vt, nt, vc, nc, test)
+            except (OverflowError, ZeroDivisionError):
+                # Only Welch squares the variance; the kernel must not need it.
+                assert test is TestKind.WELCH
+                assert math.isfinite(df[i]) and 0.0 <= p_value[i] <= 1.0
+                continue
+            assert np.array([statistic[i], p_value[i]]).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("test", list(TestKind))
+    def test_matches_scalar_reference_on_a_seeded_batch(self, test):
+        # Squaring with x * x instead of libm pow moves a few df in a thousand,
+        # too few for the drawn examples above to be sure of meeting one.
+        rng = np.random.default_rng(20)
+        n_t, n_c = rng.integers(2, 1000, size=(2, 4000))
+        var_t, var_c = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 4000))
+        delta = rng.normal(0.0, 3.0, 4000) * np.sqrt(var_t / n_t + var_c / n_c)
+        _, _, statistic, p_value = _two_sample_tests(n_t, delta, var_t, n_c, 0.0, var_c, test)
+        expected = [
+            two_sided_test(d, vt / nt + vc / nc, vt, nt, vc, nc, test)
+            for nt, vt, nc, vc, d in zip(*(a.tolist() for a in (n_t, var_t, n_c, var_c, delta)))
+        ]
+        assert np.stack((statistic, p_value), axis=1).tobytes() == np.array(expected).tobytes()
 
 
 class TestWeekendRatioGamma:
