@@ -44,6 +44,13 @@ def require_cells(rows: int, columns: int, what: str) -> None:
         )
 
 
+def _whole(value: object, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class Weekday(enum.IntEnum):
     MONDAY = 0
     TUESDAY = 1
@@ -70,6 +77,7 @@ class ExperimentCalendar:
     start_dow: Weekday = Weekday.MONDAY
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _whole(self.k, "experiment length"))
         if self.k < 1:
             raise ConfigurationError(f"experiment length must be >= 1 day, got {self.k}")
 
@@ -110,8 +118,10 @@ class InclusionPolicy:
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.d is not None and self.d < 1:
-            raise ConfigurationError("bounded policy requires an observation length d >= 1")
+        if self.d is not None:
+            object.__setattr__(self, "d", _whole(self.d, "observation length d"))
+            if self.d < 1:
+                raise ConfigurationError("bounded policy requires an observation length d >= 1")
 
     @property
     def label(self) -> str:
@@ -163,7 +173,7 @@ class TraceTable:
 
     def __post_init__(self) -> None:
         n = len(self.user_ids)
-        variants = np.asarray(self.variants, dtype=np.int8)
+        variants = np.asarray(self.variants)
         present = np.asarray(self.present, dtype=bool)
         values = np.asarray(self.values, dtype=float)
         if present.ndim != 2 or present.shape[0] != n or present.shape[1] < 1:
@@ -174,10 +184,13 @@ class TraceTable:
             raise ConfigurationError(
                 f"value matrix of shape {values.shape} does not match presence {present.shape}"
             )
-        if np.any(values, where=~present):
+        stray = values.astype(bool)  # the one users x days temporary
+        if np.greater(stray, present, out=stray).any():
             raise ConfigurationError("values must be 0.0 on days without activity")
+        # Checked before the int8 cast, which would wrap 257 to 1 and cut 1.7 to 1.
         if variants.shape != (n,) or not np.isin(variants, (-1, 0, 1)).all():
             raise ConfigurationError("variant codes must be one of 1, 0, -1 per user")
+        variants = variants.astype(np.int8, copy=False)
         object.__setattr__(self, "user_ids", tuple(self.user_ids))
         for name, array in (("variants", variants), ("present", present), ("values", values)):
             view = array.view()

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -168,18 +168,6 @@ class LogRows:
     report: IngestReport = field(default_factory=IngestReport)
 
 
-@dataclass
-class LogColumns:
-    """The accepted rows of a log: each user's id and variant code, and for
-    each row, in log order, its user's index, its day and its value."""
-
-    user_ids: list[str]
-    variants: np.ndarray
-    users: np.ndarray
-    days: np.ndarray
-    values: np.ndarray
-
-
 RowCheck = Callable[[object, object, object, object], None]
 
 
@@ -233,14 +221,6 @@ def _row_check(k: int) -> tuple[LogRows, RowCheck]:
     return rows, accept
 
 
-def _number(ids: dict[str, int], user_ids: Iterable[str]) -> Iterator[int]:
-    """The number of each of ``user_ids`` in ``ids``, where a new id gets the
-    next number in order of first appearance."""
-    fresh = [user_id for user_id in dict.fromkeys(user_ids) if user_id not in ids]
-    ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
-    return map(ids.__getitem__, user_ids)
-
-
 def _add_canonical(found: list[tuple[str, str, str, str]], rows: LogRows, k: int,
                    accept: RowCheck) -> None:
     """Check and append ``_CANONICAL_LINE`` matches as whole columns.
@@ -257,7 +237,8 @@ def _add_canonical(found: list[tuple[str, str, str, str]], rows: LogRows, k: int
         for row in zip(user_ids, days, values, variants):
             accept(*row)
         return
-    rows.users.extend(_number(rows.ids, user_ids))
+    ids = rows.ids
+    rows.users.fromlist([ids.setdefault(user_id, len(ids)) for user_id in user_ids])
     rows.days.fromlist(days)
     rows.values.fromlist(values)
     rows.codes.extend(map(_VARIANT_CODE.__getitem__, variants))
@@ -372,7 +353,7 @@ def _join(blocks: list[LogRows]) -> LogRows:
     rows = blocks[0]
     ids, rejected = rows.ids, rows.report.rejected
     for block in blocks[1:]:
-        index = np.fromiter(_number(ids, block.ids), dtype=np.intc, count=len(block.ids))
+        index = np.array([ids.setdefault(user_id, len(ids)) for user_id in block.ids], np.intc)
         rows.users.frombytes(index[np.frombuffer(block.users, dtype=np.intc)].tobytes())
         rows.days.extend(block.days)
         rows.values.extend(block.values)
@@ -383,9 +364,10 @@ def _join(blocks: list[LogRows]) -> LogRows:
     return rows
 
 
-def _variant_rules(rows: LogRows, require_variant: bool) -> LogColumns:
+def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
     """Apply the two variant rules over the whole log at once, counting their
-    rejects in ``rows.report``.
+    rejects in ``rows.report``. Returns each kept user's id and variant code,
+    and for each accepted row, in log order, its user's index, day and value.
 
     A user's variant is the code of their first row that has one. A later
     row with a different code is a conflict. With ``require_variant``, a row
@@ -419,31 +401,32 @@ def _variant_rules(rows: LogRows, require_variant: bool) -> LogColumns:
         user_ids = list(compress(user_ids, has_variant.tolist()))
         variants = variants[has_variant]
     rows.report.accepted_rows = users.size
-    return LogColumns(user_ids, variants, users, days, values)
+    return user_ids, variants, users, days, values
 
 
-def build_traces(columns: LogColumns, calendar: ExperimentCalendar) -> TraceTable:
-    """Aggregate accepted rows into a trace table: daily values summed, users sorted by id.
+def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: bool) -> TraceTable:
+    """Apply the variant rules to a log's checked rows, then aggregate the rows
+    they accept into a trace table: daily values summed, users sorted by id.
 
     Same-day rows whose sum is not finite fail the whole log with DataFormatError.
     """
+    # A helper of its own, so the rules' row-length masks are freed before the scatter.
+    ids, variants, users, days, values = _variant_rules(rows, require_variant)
     k = calendar.k
-    ids = columns.user_ids
-    require_cells(len(ids), k, "the users x days matrix")
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[order] = np.arange(len(ids))
     # One flat index into the row-major users x days matrix.
-    cells = rank[columns.users]
+    cells = rank[users]
     cells *= k
-    cells += columns.days
+    cells += days
     cells -= 1
     present = np.zeros(len(ids) * k, dtype=bool)
     present[cells] = True
     daily = np.zeros(present.size)
     with np.errstate(over="ignore", invalid="ignore"):
         # Unbuffered: rows for one user-day are added in log order.
-        np.add.at(daily, cells, columns.values)
+        np.add.at(daily, cells, values)
     finite = np.isfinite(daily)
     if not finite.all():
         user, column = divmod(int(finite.argmin()), k)
@@ -452,7 +435,7 @@ def build_traces(columns: LogColumns, calendar: ExperimentCalendar) -> TraceTabl
         )
     return TraceTable(
         user_ids=[ids[row] for row in order],
-        variants=columns.variants[order],
+        variants=variants[order],
         present=present.reshape(len(ids), k),
         values=daily.reshape(len(ids), k),
     )
@@ -466,8 +449,8 @@ def read_event_log(
     """Load a JSONL or CSV event log (dispatched on the ``.csv`` extension).
 
     The log is streamed: each row gets its row-local check as it is read and
-    only the rows that pass are kept, as columns. The variant rules then run
-    once over those columns, and ``build_traces`` aggregates what they accept.
+    only the rows that pass are kept, as columns. ``build_traces`` then runs
+    the variant rules once over those columns and aggregates what they accept.
     """
     path = Path(path)
     try:
@@ -490,5 +473,4 @@ def read_event_log(
     if require_variant and n_users * calendar.k > MAX_TRACE_CELLS:
         n_users = len(set(compress(rows.users, map((0).__le__, rows.codes))))
     require_cells(n_users, calendar.k, "the users x days matrix")
-    columns = _variant_rules(rows, require_variant)
-    return build_traces(columns, calendar), rows.report
+    return build_traces(rows, calendar, require_variant), rows.report

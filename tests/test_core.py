@@ -52,8 +52,11 @@ class TestCalendar:
                 assert cal.weekend_days() == tuple(t for t in cal.days() if per_day[t - 1])
 
     def test_length_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentCalendar(k=0)
+        for k in (0, 14.5, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                ExperimentCalendar(k=k)
+        assert ExperimentCalendar(np.int64(14)) == ExperimentCalendar(14)
+        assert type(ExperimentCalendar(np.int64(14)).k) is int
 
     def test_day_bounds_checked(self, monday14):
         with pytest.raises(ConfigurationError):
@@ -128,8 +131,11 @@ class TestInclusionInterval:
             assert bounded_days.start in open_days
 
     def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            bounded(0)
+        for d in (0, 14.5, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                bounded(d)
+        assert bounded(np.int64(7)) == bounded(7)
+        assert type(bounded(np.int64(7)).d) is int
 
     def test_policy_is_its_d(self):
         assert InclusionPolicy() == OPEN and OPEN.d is None and OPEN.label == "open"
@@ -165,6 +171,11 @@ class TestUserTrace:
             TraceTable(("a",), [2], np.zeros((1, 14), bool), np.zeros((1, 14)))
         with pytest.raises(ConfigurationError):
             TraceTable(("a",), [1], np.zeros((1, 14), bool), np.ones((1, 14)))
+        # Codes an int8 cast would wrap, truncate or fail on.
+        for codes in ([257], [-255], [1.7], ["T"], np.array([255], dtype=np.uint8),
+                      np.array([257])):
+            with pytest.raises(ConfigurationError):
+                TraceTable(("a",), codes, np.zeros((1, 14), bool), np.zeros((1, 14)))
 
     def test_days_start_at_one(self, monday14):
         table = make_table([("u", None, {1: 4.0})])
