@@ -360,6 +360,7 @@ def cmd_analyze(args: argparse.Namespace) -> Report:
             policy.label, policy.d, res.delta, res.variance, res.n_treatment, res.n_control,
             res.n_treatment + res.n_control, res.statistic, res.p_value, table.gamma(),
         ])
+        del table  # so the next policy's table is built with no other alive
     results = [dict(zip(header, row)) for row in rows]
     return header, rows, {"ingest": asdict(report), "results": results}
 

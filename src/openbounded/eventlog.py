@@ -5,7 +5,8 @@ with variant ``"T"``/``"C"`` or null. Multiple raw rows for the same
 (user, day) are summed into one daily value before analysis. Writers are
 byte-deterministic for a fixed trace table; a JSON metadata sidecar
 (``<name>.meta.json``) records how a log was produced. Logs convert to and
-from a ``TraceTable`` here and nowhere else.
+from a ``TraceTable`` here and nowhere else. The writer holds one block of
+users at a time beside the table, so its extra memory does not grow with it.
 
 A log is read in two stages. The row-local stage checks each row on its
 own (user id, day, value, the spelling of the variant) and keeps the rows
@@ -50,7 +51,8 @@ from .core import (
 
 SCHEMA_VERSION = 1
 
-# Rows formatted per ``write`` call by ``write_event_log``.
+# Cells (users x days) per block of users that ``write_event_log`` formats and
+# writes with one ``write`` call; it holds one block at a time.
 WRITE_CHUNK_ROWS = 16_384
 # Lines decoded per chunk by the JSONL reader. Larger chunks save little time
 # and raise the reader's peak memory.
@@ -108,32 +110,38 @@ def write_event_log(path: str | Path, traces: TraceTable) -> int:
 
     Each line is the one ``json.dumps(row, sort_keys=True, separators=(",", ":"))``
     gives for ``{"user_id", "day", "variant", "value"}``, built by hand: each
-    user's id and variant are formatted once, a finite float is spelled by
-    ``float.__repr__`` as ``json`` spells it, and rows are joined and written
-    ``WRITE_CHUNK_ROWS`` at a time. A non-finite value has no JSON spelling
-    and fails the write with DataFormatError before the file is opened.
+    user's id and variant are formatted once, and a finite float is spelled by
+    ``float.__repr__`` as ``json`` spells it. Users are formatted and written
+    one block of at most ``WRITE_CHUNK_ROWS`` cells at a time, so the writer's
+    extra memory does not grow with the table. A non-finite value has no JSON
+    spelling and fails the write with DataFormatError before the file is opened.
     """
-    users, columns = np.nonzero(traces.present)
-    values = traces.values[users, columns]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        user, column = users[bad[0]], columns[bad[0]]
-        raise DataFormatError(
-            f"user {traces.user_ids[user]}: day {column + 1} holds {values[bad[0]]}, "
-            "which JSON cannot spell"
-        )
-    heads = [f',"user_id":{json.dumps(user_id)},"value":' for user_id in traces.user_ids]
-    tails = [_LINE_END[code] for code in traces.variants.tolist()]
+    k = traces.k
+    step = max(1, WRITE_CHUNK_ROWS // k)
+    blocks = [slice(start, start + step) for start in range(0, len(traces), step)]
+    for block in blocks:
+        # An absent cell holds 0, so the first non-finite cell is the first in log order.
+        finite = np.isfinite(traces.values[block])
+        if not finite.all():
+            user, column = divmod(block.start * k + int(finite.argmin()), k)
+            raise DataFormatError(
+                f"user {traces.user_ids[user]}: day {column + 1} holds "
+                f"{traces.values[user, column]}, which JSON cannot spell"
+            )
+    n_rows = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(values), WRITE_CHUNK_ROWS):
-            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+        for block in blocks:
+            users, columns = np.nonzero(traces.present[block])
+            values = traces.values[block][users, columns]
+            heads = [f',"user_id":{json.dumps(user_id)},"value":'
+                     for user_id in traces.user_ids[block]]
+            tails = [_LINE_END[code] for code in traces.variants[block].tolist()]
             fh.write("".join([
                 f'{{"day":{column + 1}{heads[user]}{value!r}{tails[user]}'
-                for user, column, value in zip(
-                    users[chunk].tolist(), columns[chunk].tolist(), values[chunk].tolist()
-                )
+                for user, column, value in zip(users.tolist(), columns.tolist(), values.tolist())
             ]))
-    return len(values)
+            n_rows += len(values)
+    return n_rows
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -407,14 +415,17 @@ def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
 def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: bool) -> TraceTable:
     """Apply the variant rules to a log's checked rows, then aggregate the rows
     they accept into a trace table: daily values summed, users sorted by id.
+    ``rows`` is consumed: only its ``report`` is meaningful afterwards.
 
     Same-day rows whose sum is not finite fail the whole log with DataFormatError.
     """
     # A helper of its own, so the rules' row-length masks are freed before the scatter.
     ids, variants, users, days, values = _variant_rules(rows, require_variant)
+    rows.ids.clear()  # ``ids`` lists them; the dict is not needed again
     k = calendar.k
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = np.empty(len(ids), dtype=np.int64)
+    # A 32-bit cell index cannot wrap: users x days <= MAX_TRACE_CELLS < 2**31.
+    rank = np.empty(len(ids), dtype=np.int32)
     rank[order] = np.arange(len(ids))
     # One flat index into the row-major users x days matrix.
     cells = rank[users]

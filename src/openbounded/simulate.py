@@ -248,9 +248,9 @@ def inject_effect(
             f"{base} is past float range"
         )
 
-    lifted = traces.values + tau + np.where(calendar.weekend_mask(), tau_prime, 0.0)
-    return replace(
-        traces,
-        variants=treated.astype(np.int8),
-        values=np.where(treated[:, None] & traces.present, lifted, traces.values),
-    )
+    # One copy, lifted in place: (value + tau) + weekend extra on treated active days.
+    values = traces.values.copy()
+    lift = treated[:, None] & traces.present
+    np.add(values, tau, out=values, where=lift)
+    np.add(values, np.where(calendar.weekend_mask(), tau_prime, 0.0), out=values, where=lift)
+    return replace(traces, variants=treated.astype(np.int8), values=values)

@@ -3,6 +3,8 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from openbounded import (
 )
 from openbounded import eventlog, parallel
 from openbounded.cli import main
+from openbounded.core import MAX_TRACE_CELLS
 from openbounded.eventlog import WRITE_CHUNK_ROWS, sidecar_path, write_metadata
 from conftest import VARIANT_CODES, make_table, user_rows
 from eventlog_reference import read_reference
@@ -110,16 +113,41 @@ class TestAggregation:
         assert traces.user_ids == ("u2",)
         assert report.rejected == {"missing-variant": 1}
 
+    def test_cell_index_cannot_wrap(self):
+        # The scatter indexes the users x days matrix with int32 cells.
+        assert MAX_TRACE_CELLS <= np.iinfo(np.int32).max
+
+
+# Users per block of the writer at k = 14.
+BLOCK = WRITE_CHUNK_ROWS // 14
+
+
+def first_cells(n_cells):
+    """A users x 14 presence mask whose first ``n_cells`` cells in log order are active."""
+    n_users = -(-n_cells // 14) or 1
+    return (np.arange(n_users * 14) < n_cells).reshape(n_users, 14)
+
+
+def middle_block_inactive():
+    present = np.ones((3 * BLOCK, 14), dtype=bool)
+    present[BLOCK:2 * BLOCK] = False
+    return present
+
 
 class TestWriter:
     PREFIXES = ('q"', "b\\", "\u00fc", "s ", "u")
     VALUES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 100.0)
 
-    @pytest.mark.parametrize("n_rows", [0, 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1])
-    def test_lines_match_json_dumps(self, tmp_path, n_rows):
-        k = 14
-        n_users = -(-n_rows // k) or 1
-        present = (np.arange(n_users * k) < n_rows).reshape(n_users, k)
+    @pytest.mark.parametrize("present", [
+        *(pytest.param(first_cells(n), id=str(n))
+          for n in (0, 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1)),
+        pytest.param(np.ones((BLOCK - 1, 14), dtype=bool), id="block-1-users"),
+        pytest.param(np.ones((BLOCK, 14), dtype=bool), id="block-users"),
+        pytest.param(np.ones((BLOCK + 1, 14), dtype=bool), id="block+1-users"),
+        pytest.param(middle_block_inactive(), id="inactive-block"),
+    ])
+    def test_lines_match_json_dumps(self, tmp_path, present):
+        n_users, k = present.shape
         values = np.resize(np.array(self.VALUES), n_users * k).reshape(n_users, k)
         traces = TraceTable(
             user_ids=[f"{self.PREFIXES[i % 5]}{i}" for i in range(n_users)],
@@ -128,7 +156,7 @@ class TestWriter:
             values=np.where(present, values, 0.0),
         )
         path = tmp_path / "log.jsonl"
-        assert write_event_log(path, traces) == n_rows
+        assert write_event_log(path, traces) == int(present.sum())
         variant_of = {code: variant for variant, code in VARIANT_CODES.items()}
         expected = [
             json.dumps(
@@ -179,6 +207,35 @@ class TestWriter:
         with pytest.raises(DataFormatError, match="u2: day 3"):
             write_event_log(path, traces)
         assert not path.exists()
+        # Non-finite cells in two blocks of users: the first in log order is named,
+        # though the later block's cell is on an earlier day.
+        values = np.ones((2 * BLOCK, 14))
+        values[BLOCK - 1, 8] = values[BLOCK, 1] = value
+        traces = TraceTable(
+            user_ids=[f"u{i:05d}" for i in range(2 * BLOCK)],
+            variants=np.zeros(2 * BLOCK, dtype=np.int8),
+            present=np.ones(values.shape, dtype=bool),
+            values=values,
+        )
+        first = re.escape(f"u{BLOCK - 1:05d}: day 9 holds {value},")
+        with pytest.raises(DataFormatError, match=first):
+            write_event_log(path, traces)
+        assert not path.exists()
+
+    def test_extra_memory_does_not_grow_with_the_table(self):
+        """The writer holds one block of users beside the table: its traced peak
+        at 80,000 users is within 25% of its peak at 5,000."""
+        params = Model1Params(p=0.2, tau=1.0, sigma=65.0, c=100.0)
+        peaks = []
+        for n_per_arm in (2_500, 40_000):
+            traces = simulate_model1(params, n_per_arm, Seed(9))
+            tracemalloc.start()
+            try:
+                write_event_log(os.devnull, traces)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 USER_IDS = st.sampled_from(["u1", "u2", "u3", "\u00fc", "\u7528\u6237", 'q"', "s p", "", None, 7])
