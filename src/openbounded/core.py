@@ -14,10 +14,14 @@ import numpy as np
 
 DayIndex = int
 # Most cells of one dense matrix: users x days of a trace table, or the
-# analytic engine's (k+1) x (k+1) outcome mass. A simulation takes 17 bytes a
-# cell, so this caps a run near 2 GB; a larger request is refused before
-# anything is allocated.
+# analytic engine's (k+1) x (k+1) outcome mass. A trace table takes 9 bytes a
+# cell (a flag and a value), so this caps one near 0.9 GB; a larger request is
+# refused before anything is allocated.
 MAX_TRACE_CELLS = 100_000_000
+# Cells of one block: a pass that needs a temporary as large as its input
+# (the table check, the simulators, the log build's first-variant pass) makes
+# it one block of rows at a time, so its extra memory does not grow with the input.
+BLOCK_CELLS = 65_536
 
 
 class ExperimentError(Exception):
@@ -42,6 +46,12 @@ def require_cells(rows: int, columns: int, what: str) -> None:
             f"{what} of {rows} x {columns} cells is larger than the "
             f"{MAX_TRACE_CELLS} cells one matrix may hold"
         )
+
+
+def row_blocks(rows: int, columns: int) -> list[slice]:
+    """Consecutive slices of about ``BLOCK_CELLS`` cells covering ``rows`` rows."""
+    step = max(1, BLOCK_CELLS // columns)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _whole(value: object, what: str) -> int:
@@ -163,7 +173,9 @@ class TraceTable:
     ``variants`` codes treatment as 1, control as 0 and unassigned as -1.
     ``present[i, t - 1]`` is True when user ``i`` was active on day ``t``,
     and ``values[i, t - 1]`` holds the outcome that day; ``values`` must be
-    0.0 wherever ``present`` is False. The arrays are read-only views.
+    0.0 wherever ``present`` is False. The arrays are read-only views. The
+    checks run one block of rows at a time, so constructing a table adds no
+    users x days temporary.
     """
 
     user_ids: tuple[str, ...]
@@ -184,11 +196,15 @@ class TraceTable:
             raise ConfigurationError(
                 f"value matrix of shape {values.shape} does not match presence {present.shape}"
             )
-        stray = values.astype(bool)  # the one users x days temporary
-        if np.greater(stray, present, out=stray).any():
-            raise ConfigurationError("values must be 0.0 on days without activity")
+        blocks = row_blocks(n, present.shape[1])
+        for block in blocks:
+            stray = values[block].astype(bool)
+            if np.greater(stray, present[block], out=stray).any():
+                raise ConfigurationError("values must be 0.0 on days without activity")
         # Checked before the int8 cast, which would wrap 257 to 1 and cut 1.7 to 1.
-        if variants.shape != (n,) or not np.isin(variants, (-1, 0, 1)).all():
+        if variants.shape != (n,) or not all(
+            np.isin(variants[block], (-1, 0, 1)).all() for block in blocks
+        ):
             raise ConfigurationError("variant codes must be one of 1, 0, -1 per user")
         variants = variants.astype(np.int8, copy=False)
         object.__setattr__(self, "user_ids", tuple(self.user_ids))

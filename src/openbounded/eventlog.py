@@ -47,6 +47,7 @@ from .core import (
     ExperimentCalendar,
     TraceTable,
     require_cells,
+    row_blocks,
 )
 
 SCHEMA_VERSION = 1
@@ -161,19 +162,25 @@ def write_metadata(log_path: str | Path, metadata: dict) -> Path:
 class LogRows:
     """The rows of one stretch of a log that passed the row-local checks, as columns.
 
-    ``ids`` numbers each user in order of first appearance. ``users``,
-    ``days``, ``values`` and ``codes`` (the variant: 1 treatment, 0 control,
-    -1 none) hold one entry per row, in log order; ``days`` is 16-bit where
-    the window allows. ``report`` counts the rows seen and the row-local
-    rejections.
+    ``ids`` numbers each user in order of first appearance: a dict from id to
+    number while the rows are read, a list of the ids in that order once the
+    blocks are joined. A pickled copy, such as a forked reader's reply, also
+    carries the list: it is smaller, and ``_join`` only iterates over it.
+    ``users``, ``days``, ``values`` and ``codes`` (the variant: 1 treatment,
+    0 control, -1 none) hold one entry per row, in log order; ``days`` is
+    16-bit where the window allows. ``report`` counts the rows seen and the
+    row-local rejections.
     """
 
     days: array
-    ids: dict[str, int] = field(default_factory=dict)
+    ids: dict[str, int] | list[str] = field(default_factory=dict)
     users: array = field(default_factory=lambda: array("i"))
     values: array = field(default_factory=lambda: array("d"))
     codes: array = field(default_factory=lambda: array("b"))
     report: IngestReport = field(default_factory=IngestReport)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "ids": list(self.ids)}
 
 
 RowCheck = Callable[[object, object, object, object], None]
@@ -357,11 +364,21 @@ def _decode_jsonl_blocks(path: Path, k: int) -> list[LogRows]:
 
 
 def _join(blocks: list[LogRows]) -> LogRows:
-    """The blocks of one log as one, in order; users are numbered by first appearance."""
+    """The blocks of one log as one, in order; users are numbered by first
+    appearance, and the joined rows list their ids in that order."""
     rows = blocks[0]
     ids, rejected = rows.ids, rows.report.rejected
+    last_new: list[str] = []
     for block in blocks[1:]:
-        index = np.array([ids.setdefault(user_id, len(ids)) for user_id in block.ids], np.intc)
+        if block is blocks[-1]:
+            # No later block looks these users up, so the new ones are numbered
+            # without a dict entry and the int object it would keep alive.
+            index = np.array([ids.get(user_id, -1) for user_id in block.ids], np.intc)
+            new = index < 0
+            index[new] = np.arange(len(ids), len(ids) + np.count_nonzero(new), dtype=np.intc)
+            last_new = list(compress(block.ids, new.tolist()))
+        else:
+            index = np.array([ids.setdefault(user_id, len(ids)) for user_id in block.ids], np.intc)
         rows.users.frombytes(index[np.frombuffer(block.users, dtype=np.intc)].tobytes())
         rows.days.extend(block.days)
         rows.values.extend(block.values)
@@ -369,13 +386,15 @@ def _join(blocks: list[LogRows]) -> LogRows:
         rows.report.total_rows += block.report.total_rows
         for reason, count in block.report.rejected.items():
             rejected[reason] = rejected.get(reason, 0) + count
+    rows.ids = [*ids, *last_new]
     return rows
 
 
 def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
     """Apply the two variant rules over the whole log at once, counting their
-    rejects in ``rows.report``. Returns each kept user's id and variant code,
-    and for each accepted row, in log order, its user's index, day and value.
+    rejects in ``rows.report``. Returns each kept user's id (an object array)
+    and variant code, and for each accepted row, in log order, its user's
+    index, day and value.
 
     A user's variant is the code of their first row that has one. A later
     row with a different code is a conflict. With ``require_variant``, a row
@@ -385,28 +404,33 @@ def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
     users = np.frombuffer(rows.users, dtype=np.intc)
     codes = np.frombuffer(rows.codes, dtype=np.int8)
     n_rows, n_users = codes.size, len(rows.ids)
-    assigned = np.flatnonzero(codes >= 0)
     first = np.full(n_users, n_rows)
-    np.minimum.at(first, users[assigned], assigned)
+    for block in row_blocks(n_rows, 1):
+        assigned = np.flatnonzero(codes[block] >= 0)
+        np.minimum.at(first, users[block][assigned], assigned + block.start)
     has_variant = first < n_rows
     variants = np.full(n_users, -1, dtype=np.int8)
     variants[has_variant] = codes[first[has_variant]]
     rejected = {"variant-conflict": (codes >= 0) & (codes != variants[users])}
     if require_variant:
-        rejected["missing-variant"] = (codes < 0) & (np.arange(n_rows) < first[users])
+        # Only a row without a variant can miss one.
+        unassigned = np.flatnonzero(codes < 0)
+        missing = np.zeros(n_rows, dtype=bool)
+        missing[unassigned[unassigned < first[users[unassigned]]]] = True
+        rejected["missing-variant"] = missing
     keep = np.ones(n_rows, dtype=bool)
     for reason, rows_rejected in rejected.items():
         if count := int(np.count_nonzero(rows_rejected)):
             rows.report.rejected[reason] = count
             keep &= ~rows_rejected
-    user_ids = list(rows.ids)
+    user_ids = np.fromiter(rows.ids, dtype=object, count=n_users)
     days = np.frombuffer(rows.days, dtype=rows.days.typecode)
     values = np.frombuffer(rows.values, dtype=float)
     if not keep.all():
         users, days, values = users[keep], days[keep], values[keep]
     if require_variant and not has_variant.all():
-        users = (np.cumsum(has_variant) - 1)[users]
-        user_ids = list(compress(user_ids, has_variant.tolist()))
+        users = (np.cumsum(has_variant, dtype=np.intc) - 1)[users]
+        user_ids = user_ids[has_variant]
         variants = variants[has_variant]
     rows.report.accepted_rows = users.size
     return user_ids, variants, users, days, values
@@ -415,40 +439,47 @@ def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
 def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: bool) -> TraceTable:
     """Apply the variant rules to a log's checked rows, then aggregate the rows
     they accept into a trace table: daily values summed, users sorted by id.
-    ``rows`` is consumed: only its ``report`` is meaningful afterwards.
+    ``rows`` is consumed: only its ``report`` is meaningful afterwards. Each
+    row column is freed as soon as it is dead, and the only users x days
+    arrays made are the table's own.
 
     Same-day rows whose sum is not finite fail the whole log with DataFormatError.
     """
     # A helper of its own, so the rules' row-length masks are freed before the scatter.
     ids, variants, users, days, values = _variant_rules(rows, require_variant)
-    rows.ids.clear()  # ``ids`` lists them; the dict is not needed again
-    k = calendar.k
-    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rows.ids.clear()  # ``ids`` holds them now
+    del rows.codes  # each row column is deleted once dead, to free it
+    n, k = ids.size, calendar.k
+    order = ids.argsort(kind="stable")
     # A 32-bit cell index cannot wrap: users x days <= MAX_TRACE_CELLS < 2**31.
-    rank = np.empty(len(ids), dtype=np.int32)
-    rank[order] = np.arange(len(ids))
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    ids, variants = tuple(ids[order]), variants[order]
+    del order
     # One flat index into the row-major users x days matrix.
     cells = rank[users]
     cells *= k
     cells += days
     cells -= 1
-    present = np.zeros(len(ids) * k, dtype=bool)
+    del rank, users, days, rows.users, rows.days
+    present = np.zeros(n * k, dtype=bool)
     present[cells] = True
     daily = np.zeros(present.size)
     with np.errstate(over="ignore", invalid="ignore"):
         # Unbuffered: rows for one user-day are added in log order.
         np.add.at(daily, cells, values)
-    finite = np.isfinite(daily)
-    if not finite.all():
-        user, column = divmod(int(finite.argmin()), k)
+    del cells, values, rows.values
+    # min and max are finite only when every cell is, and make no temporary.
+    if not (math.isfinite(daily.min(initial=0.0)) and math.isfinite(daily.max(initial=0.0))):
+        user, column = divmod(int(np.isfinite(daily).argmin()), k)
         raise DataFormatError(
-            f"user {ids[order[user]]}: rows for day {column + 1} sum to a non-finite value"
+            f"user {ids[user]}: rows for day {column + 1} sum to a non-finite value"
         )
     return TraceTable(
-        user_ids=[ids[row] for row in order],
-        variants=variants[order],
-        present=present.reshape(len(ids), k),
-        values=daily.reshape(len(ids), k),
+        user_ids=ids,
+        variants=variants,
+        present=present.reshape(n, k),
+        values=daily.reshape(n, k),
     )
 
 

@@ -91,37 +91,49 @@ class MetricTable:
 def metric_table(
     traces: TraceTable, policy: InclusionPolicy, calendar: ExperimentCalendar
 ) -> MetricTable:
-    """Apply the inclusion rule to every user and compute per-user metrics."""
+    """Apply the inclusion rule to every user and compute per-user metrics.
+
+    One pass over the days with one reused per-user day mask: no users x
+    days array is made, and the per-user arrays are few and filled in place.
+    """
     traces.require_calendar(calendar)
     present = traces.present
     n = len(traces)
-    # argmax is 0 both for a user first active on day 1 and for one never
-    # active; the cell it points at tells them apart.
-    first = present.argmax(axis=1)
-    active = present[np.arange(n), first]
-    first_day = np.where(active, first + 1, 0)
-    included = active & (first_day <= policy.admission_deadline(calendar))
-    last_day = np.broadcast_to(policy.last_day(first_day, calendar), first_day.shape)
-    window = present & included[:, None] & (np.arange(1, calendar.k + 1) <= last_day[:, None])
+    # Written from the last day back, so the earliest active day stays; 0 for
+    # a user never active. (argmax over days would copy the mask.)
+    first_day = np.zeros(n, dtype=np.intp)
+    for day in range(calendar.k, 0, -1):
+        np.copyto(first_day, day, where=present[:, day - 1])
+    included = first_day <= policy.admission_deadline(calendar)
+    included &= first_day > 0
+    last_day = np.broadcast_to(policy.last_day(first_day, calendar), n)
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
     total = np.zeros(n)
-    active_days = np.zeros(n, dtype=np.intp)
+    active_days = np.zeros(n, dtype=np.int32)  # k <= MAX_TRACE_CELLS < 2**31
+    weekend_days = np.zeros(n, dtype=np.int32)
+    analysed = np.empty(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for day in range(calendar.k):
-            column = window[:, day]
-            total += np.where(column, traces.values[:, day], 0.0)
-            active_days += column
+        for day, weekend in enumerate(calendar.weekend_mask().tolist()):
+            np.less(day, last_day, out=analysed)
+            analysed &= included
+            analysed &= present[:, day]
+            np.add(total, traces.values[:, day], out=total, where=analysed)
+            active_days += analysed
+            if weekend:
+                weekend_days += analysed
+    del last_day, analysed
     overflowed = np.flatnonzero(~np.isfinite(total))
     if overflowed.size:
         raise DataFormatError(
             f"user {traces.user_ids[overflowed[0]]}: analysed values sum to a non-finite value"
         )
-    weekend_days = np.count_nonzero(window[:, calendar.weekend_mask()], axis=1)
-    values = np.full(n, np.nan)
+    # An included user has at least their first day analysed; others are NaN.
+    values = total  # divided in place
+    np.divide(total, active_days, out=values, where=included)
+    np.copyto(values, np.nan, where=~included)
     weekend_share = np.full(n, np.nan)
-    values[included] = total[included] / active_days[included]
-    weekend_share[included] = weekend_days[included] / active_days[included]
+    np.divide(weekend_days, active_days, out=weekend_share, where=included)
     return MetricTable(
         variants=traces.variants,
         first_day=first_day,

@@ -29,6 +29,7 @@ from .core import (
     InsufficientDataError,
     TraceTable,
     require_cells,
+    row_blocks,
 )
 
 NoiseKind = Literal["normal", "lognormal"]
@@ -88,7 +89,9 @@ def _noise_matrix(
             mean = np.exp(sigma**2 / 2.0)
         except OverflowError:
             mean = np.inf
-        return rng.lognormal(0.0, sigma, shape) - mean
+        noise = rng.lognormal(0.0, sigma, shape)
+        noise -= mean
+        return noise
     raise ConfigurationError(f"unknown noise kind: {kind!r}")
 
 
@@ -108,31 +111,36 @@ def _simulated_table(
 
     Draws each user's level (c, plus a Normal(0, sigma_user^2) draw when
     sigma_user > 0) and then the day-level noise from ``rng``, and adds tau
-    plus tau_prime on weekend days to treatment outcomes. Outcomes past
-    float range raise ConfigurationError: the parameters cannot describe a
-    log.
+    plus tau_prime on weekend days to treatment outcomes. The noise matrix
+    becomes the table's values: levels and lift are added, absent cells
+    zeroed and finiteness checked one block of rows at a time, so no other
+    users x days array is made. Outcomes past float range raise
+    ConfigurationError: the parameters cannot describe a log.
     """
     if not 0.0 <= sigma_user < math.inf:
         raise ConfigurationError(f"sigma_user must be a finite number >= 0, got {sigma_user}")
     total, k = presence.shape
-    levels = np.full(total, params.c)
+    levels = np.broadcast_to(params.c, (total, 1))
     if sigma_user > 0.0:
-        levels = levels + rng.normal(0.0, sigma_user, total)
+        levels = levels + rng.normal(0.0, sigma_user, (total, 1))
     values = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
-    values += levels[:, None]
-    values[:n_treated] += params.tau + params.tau_prime * params.calendar.weekend_mask()
-    np.copyto(values, 0.0, where=~presence)
-    if not np.isfinite(values).all():
-        user, column = np.argwhere(~np.isfinite(values))[0]
-        raise ConfigurationError(
-            f"simulated outcome of user u{user:07d} on day {column + 1} is not finite: "
-            "the parameters reach past float range"
-        )
+    lift = params.tau + params.tau_prime * params.calendar.weekend_mask()
+    for block in row_blocks(total, k):
+        rows = values[block]
+        rows += levels[block]
+        rows[:max(0, n_treated - block.start)] += lift
+        np.copyto(rows, 0.0, where=~presence[block])
+        finite = np.isfinite(rows)
+        if not finite.all():
+            user, column = divmod(block.start * k + int(finite.argmin()), k)
+            raise ConfigurationError(
+                f"simulated outcome of user u{user:07d} on day {column + 1} is not finite: "
+                "the parameters reach past float range"
+            )
+    variants = np.zeros(total, dtype=np.int8)
+    variants[:n_treated] = 1
     return TraceTable(
-        user_ids=_user_ids(total),
-        variants=(np.arange(total) < n_treated).astype(np.int8),
-        present=presence,
-        values=values,
+        user_ids=_user_ids(total), variants=variants, present=presence, values=values
     )
 
 
@@ -157,7 +165,11 @@ def simulate_model1(
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
     require_cells(2 * n_per_arm, params.calendar.k, "the users x days matrix")
     rng = seed.generator()
-    presence = rng.random((2 * n_per_arm, params.calendar.k)) < params.p
+    # Drawn a block of rows at a time: each double takes the generator's next
+    # 64-bit output, so the bits are those of one (users, k) draw.
+    presence = np.empty((2 * n_per_arm, params.calendar.k), dtype=bool)
+    for block in row_blocks(*presence.shape):
+        np.less(rng.random(presence[block].shape), params.p, out=presence[block])
     return _simulated_table(params, presence, n_per_arm, rng, sigma_user, noise_kind)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,17 @@ def user_rows(table):
             table.user_ids, table.variants, table.present, table.values
         )
     ]
+
+
+def traced_peak(fn):
+    """The peak traced memory, in bytes, while ``fn()`` runs.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    them; what existed before the call does not count.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

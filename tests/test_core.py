@@ -12,8 +12,9 @@ from openbounded import (
     Weekday,
     bounded,
 )
+from openbounded.core import BLOCK_CELLS
 from openbounded.metrics import metric_table
-from conftest import make_table
+from conftest import make_table, traced_peak
 
 
 class TestCalendar:
@@ -191,3 +192,44 @@ class TestUserTrace:
         assert table.values[0, 8] == 7.0 and table.values[0, 2] == 0.0
         with pytest.raises(ValueError):
             table.values[0, 2] = 1.0
+
+
+class TestTableCheckBlocks:
+    """The table checks one block of rows at a time: a bad cell or code is
+    found in any block, and no users x days temporary is made."""
+
+    K = 14
+    STEP = BLOCK_CELLS // K  # rows per block
+    N = 3 * STEP + 7
+
+    def _columns(self):
+        n = self.N
+        return tuple(f"u{i}" for i in range(n)), np.zeros(n, np.int8), \
+            np.zeros((n, self.K), bool), np.zeros((n, self.K))
+
+    @pytest.mark.parametrize("row", [0, STEP - 1, STEP, 2 * STEP, N - 1],
+                             ids=["first", "block-end", "block-start", "third-block", "last"])
+    def test_stray_value_found_in_any_block(self, row):
+        ids, variants, present, values = self._columns()
+        present[:, 3] = True
+        values[:, 3] = 2.0
+        TraceTable(ids, variants, present, values)
+        values[row, 9] = -0.5
+        with pytest.raises(ConfigurationError, match="0.0 on days without activity"):
+            TraceTable(ids, variants, present, values)
+
+    @pytest.mark.parametrize("row", [0, STEP - 1, STEP, N - 1])
+    def test_bad_variant_found_in_any_block(self, row):
+        ids, variants, present, values = self._columns()
+        variants = variants.astype(np.int64)
+        variants[row] = 2
+        with pytest.raises(ConfigurationError, match="variant codes"):
+            TraceTable(ids, variants, present, values)
+
+    def test_check_makes_no_users_x_days_temporary(self):
+        """1e5 x 14 cells: the traced peak of the checks is at most a few
+        blocks, where one users x days bool mask alone is 1.4 MB."""
+        n = 100_000
+        columns = (tuple(map(str, range(n))), np.zeros(n, np.int8),
+                   np.zeros((n, self.K), bool), np.zeros((n, self.K)))
+        assert traced_peak(lambda: TraceTable(*columns)) <= 4 * BLOCK_CELLS

@@ -3,8 +3,8 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from openbounded import eventlog, parallel
 from openbounded.cli import main
 from openbounded.core import MAX_TRACE_CELLS
 from openbounded.eventlog import WRITE_CHUNK_ROWS, sidecar_path, write_metadata
-from conftest import VARIANT_CODES, make_table, user_rows
+from conftest import VARIANT_CODES, make_table, traced_peak, user_rows
 from eventlog_reference import read_reference
 
 
@@ -229,12 +229,7 @@ class TestWriter:
         peaks = []
         for n_per_arm in (2_500, 40_000):
             traces = simulate_model1(params, n_per_arm, Seed(9))
-            tracemalloc.start()
-            try:
-                write_event_log(os.devnull, traces)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: write_event_log(os.devnull, traces)))
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
@@ -430,6 +425,15 @@ class TestParallelRead:
                     read_reference, path, calendar, require_variant
                 )
                 assert not multiprocessing.active_children()
+
+    def test_reply_carries_ids_as_a_list(self, tmp_path):
+        """A worker's rows reach the parent with their ids as a list, in
+        numbering order; the worker's own rows keep the dict."""
+        rows = eventlog._decode_jsonl(self._log(tmp_path), 0, None, 14)
+        reply = pickle.loads(pickle.dumps(rows))
+        assert isinstance(rows.ids, dict) and reply.ids == list(rows.ids)
+        assert [reply.users, reply.days, reply.values, reply.codes, reply.report] == [
+            rows.users, rows.days, rows.values, rows.codes, rows.report]
 
     @staticmethod
     def _log(tmp_path):

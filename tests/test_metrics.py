@@ -22,7 +22,7 @@ from openbounded import (
     weekend_ratio_gamma,
 )
 from openbounded.metrics import _two_sample_tests, _welch_df, metric_table
-from conftest import make_table, user_rows
+from conftest import make_table, traced_peak, user_rows
 from metrics_reference import two_sided_test
 
 
@@ -287,3 +287,16 @@ class TestWeekendRatioGamma:
         )
         gamma = weekend_ratio_gamma(traces, OPEN, cal)
         assert 0.0 <= gamma <= 1.0
+
+
+def test_metric_table_memory_has_no_users_x_days_term():
+    """The kernel's traced peak for 20,000 users is within 25% at k = 140 of
+    that at k = 14: its arrays are per user, none users x days."""
+    peaks = {}
+    for k in (14, 140):
+        calendar = ExperimentCalendar(k)
+        traces = simulate_model1(Model1Params(p=0.2, calendar=calendar), 10_000, Seed(9))
+        for policy in (OPEN, bounded(7)):
+            peaks[k, policy.d] = traced_peak(lambda: metric_table(traces, policy, calendar))
+    for d in (None, 7):
+        assert peaks[140, d] <= 1.25 * peaks[14, d], peaks

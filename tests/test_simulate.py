@@ -23,9 +23,11 @@ from openbounded import (
     strip_variants,
     weekend_ratio_gamma,
 )
-from openbounded import simulate
+from openbounded import ExperimentCalendar, Weekday, simulate
+from openbounded.core import BLOCK_CELLS, row_blocks
 from openbounded.metrics import metric_table
-from conftest import make_table
+from conftest import make_table, traced_peak
+import simulate_reference
 
 
 class TestSeed:
@@ -173,6 +175,56 @@ def test_outcomes_past_float_range_refused(params, noise_kind):
             simulate_model1(params, 20, Seed(1), noise_kind=noise_kind)
         else:
             simulate_model2(params, Seed(1), noise_kind=noise_kind)
+
+
+NOISES = [(0.0, "normal"), (2.5, "normal"), (0.0, "lognormal"), (2.5, "lognormal")]
+
+
+class TestRowBlocks:
+    """The simulators work one block of rows at a time and give the tables of
+    the one-shot formulas in ``simulate_reference``, bit for bit. Each size
+    spans several blocks and ends in a partial one, and the treatment arm ends
+    inside a block."""
+
+    @staticmethod
+    def _calendar(k, total):
+        step = row_blocks(total, k)[0].stop
+        assert total > step and total % step
+        return ExperimentCalendar(k, Weekday.SATURDAY)
+
+    @pytest.mark.parametrize("k, n_per_arm", [(1, 32_769), (14, 7_500), (300, 700)])
+    @pytest.mark.parametrize("sigma_user, noise_kind", NOISES)
+    def test_model1_matches_one_shot(self, k, n_per_arm, sigma_user, noise_kind):
+        params = Model1Params(p=0.3, tau=1.5, tau_prime=0.5, sigma=2.0, c=10.0,
+                              calendar=self._calendar(k, 2 * n_per_arm))
+        options = {"sigma_user": sigma_user, "noise_kind": noise_kind}
+        assert simulate_model1(params, n_per_arm, Seed(3), **options) == (
+            simulate_reference.simulate_model1(params, n_per_arm, Seed(3), **options)
+        )
+
+    @pytest.mark.parametrize("k, ns", [(1, 40_000), (14, 400), (300, 2)])
+    @pytest.mark.parametrize("sigma_user, noise_kind", NOISES)
+    def test_model2_matches_one_shot(self, k, ns, sigma_user, noise_kind):
+        params = Model2Params(ns=ns, tau=1.5, tau_prime=0.5, sigma=2.0, c=10.0,
+                              calendar=self._calendar(k, 2 * k * ns))
+        options = {"sigma_user": sigma_user, "noise_kind": noise_kind}
+        assert simulate_model2(params, Seed(4), **options) == (
+            simulate_reference.simulate_model2(params, Seed(4), **options)
+        )
+
+    def test_extra_memory_does_not_grow(self):
+        """Beside the table's own arrays, ``simulate_model1`` holds about one
+        block: its traced peak less the table's bytes at 80,000 users is within
+        ``BLOCK_CELLS`` bytes of that at 5,000."""
+        params = Model1Params(p=0.2, tau=1.0, sigma=65.0, c=100.0)
+        extra = []
+        for n_per_arm in (2_500, 40_000):
+            # The first call formats the cached ids and loads numpy's random module.
+            table = simulate_model1(params, n_per_arm, Seed(9))
+            held = table.present.nbytes + table.values.nbytes + table.variants.nbytes
+            del table
+            extra.append(traced_peak(lambda: simulate_model1(params, n_per_arm, Seed(9))) - held)
+        assert extra[1] <= extra[0] + BLOCK_CELLS, extra
 
 
 class TestUserIds:
