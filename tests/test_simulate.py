@@ -24,7 +24,7 @@ from openbounded import (
     weekend_ratio_gamma,
 )
 from openbounded import ExperimentCalendar, Weekday, simulate
-from openbounded.core import BLOCK_CELLS, row_blocks
+from openbounded.core import row_blocks
 from openbounded.metrics import metric_table
 from conftest import make_table, traced_peak
 import simulate_reference
@@ -213,9 +213,9 @@ class TestRowBlocks:
         )
 
     def test_extra_memory_does_not_grow(self):
-        """Beside the table's own arrays, ``simulate_model1`` holds about one
-        block: its traced peak less the table's bytes at 80,000 users is within
-        ``BLOCK_CELLS`` bytes of that at 5,000."""
+        """Beside the table's own arrays, ``simulate_model1`` holds a few block
+        temporaries: its traced peak less the table's bytes at 80,000 users is
+        at most twice that at 5,000, where a byte per user would add 80 kB."""
         params = Model1Params(p=0.2, tau=1.0, sigma=65.0, c=100.0)
         extra = []
         for n_per_arm in (2_500, 40_000):
@@ -224,7 +224,7 @@ class TestRowBlocks:
             held = table.present.nbytes + table.values.nbytes + table.variants.nbytes
             del table
             extra.append(traced_peak(lambda: simulate_model1(params, n_per_arm, Seed(9))) - held)
-        assert extra[1] <= extra[0] + BLOCK_CELLS, extra
+        assert extra[1] <= 2 * extra[0], extra
 
 
 class TestUserIds:
