@@ -367,18 +367,19 @@ def _join(blocks: list[LogRows]) -> LogRows:
     """The blocks of one log as one, in order; users are numbered by first
     appearance, and the joined rows list their ids in that order."""
     rows = blocks[0]
-    ids, rejected = rows.ids, rows.report.rejected
-    last_new: list[str] = []
+    numbers, rejected = rows.ids, rows.report.rejected
+    new_ids: list[str] = []
     for block in blocks[1:]:
-        if block is blocks[-1]:
-            # No later block looks these users up, so the new ones are numbered
-            # without a dict entry and the int object it would keep alive.
-            index = np.array([ids.get(user_id, -1) for user_id in block.ids], np.intc)
-            new = index < 0
-            index[new] = np.arange(len(ids), len(ids) + np.count_nonzero(new), dtype=np.intc)
-            last_new = list(compress(block.ids, new.tolist()))
-        else:
-            index = np.array([ids.setdefault(user_id, len(ids)) for user_id in block.ids], np.intc)
+        index = np.array([numbers.get(user_id, -1) for user_id in block.ids], np.intc)
+        new = index < 0
+        new_ids = list(compress(block.ids, new.tolist()))
+        index[new] = np.arange(len(numbers), len(numbers) + len(new_ids), dtype=np.intc)
+        if block is not blocks[-1]:
+            # Only a later block looks users up, so the last block's new users
+            # are listed after the dict's rather than entered: the dict stays
+            # at the size the earlier blocks need, not twice it, which is 3 MB
+            # of analyze's peak on a 1e5-user log.
+            numbers.update(zip(new_ids, range(len(numbers), len(numbers) + len(new_ids))))
         rows.users.frombytes(index[np.frombuffer(block.users, dtype=np.intc)].tobytes())
         rows.days.extend(block.days)
         rows.values.extend(block.values)
@@ -386,15 +387,14 @@ def _join(blocks: list[LogRows]) -> LogRows:
         rows.report.total_rows += block.report.total_rows
         for reason, count in block.report.rejected.items():
             rejected[reason] = rejected.get(reason, 0) + count
-    rows.ids = [*ids, *last_new]
+    rows.ids = [*numbers, *new_ids]
     return rows
 
 
 def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
     """Apply the two variant rules over the whole log at once, counting their
-    rejects in ``rows.report``. Returns each kept user's id (an object array)
-    and variant code, and for each accepted row, in log order, its user's
-    index, day and value.
+    rejects in ``rows.report``. Returns each kept user's id and variant code,
+    and for each accepted row, in log order, its user's index, day and value.
 
     A user's variant is the code of their first row that has one. A later
     row with a different code is a conflict. With ``require_variant``, a row
@@ -423,14 +423,14 @@ def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
         if count := int(np.count_nonzero(rows_rejected)):
             rows.report.rejected[reason] = count
             keep &= ~rows_rejected
-    user_ids = np.fromiter(rows.ids, dtype=object, count=n_users)
+    user_ids = rows.ids
     days = np.frombuffer(rows.days, dtype=rows.days.typecode)
     values = np.frombuffer(rows.values, dtype=float)
     if not keep.all():
         users, days, values = users[keep], days[keep], values[keep]
     if require_variant and not has_variant.all():
         users = (np.cumsum(has_variant, dtype=np.intc) - 1)[users]
-        user_ids = user_ids[has_variant]
+        user_ids = list(compress(user_ids, has_variant.tolist()))
         variants = variants[has_variant]
     rows.report.accepted_rows = users.size
     return user_ids, variants, users, days, values
@@ -447,21 +447,30 @@ def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: b
     """
     # A helper of its own, so the rules' row-length masks are freed before the scatter.
     ids, variants, users, days, values = _variant_rules(rows, require_variant)
-    rows.ids.clear()  # ``ids`` holds them now
-    del rows.codes  # each row column is deleted once dead, to free it
-    n, k = ids.size, calendar.k
-    order = ids.argsort(kind="stable")
+    del rows.ids, rows.codes  # each row column is deleted once dead, to free it
+    n, k = len(ids), calendar.k
     # A 32-bit cell index cannot wrap: users x days <= MAX_TRACE_CELLS < 2**31.
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    ids, variants = tuple(ids[order]), variants[order]
-    del order
+    if all(map(str.__lt__, ids, islice(ids, 1, None))):
+        # Already in id order, as write_event_log writes a log: no sort, and
+        # no n Python ints for one.
+        cells = users.astype(np.int32)
+    else:
+        # A key sort of the list compares the str ids on list.sort's fast
+        # path; an object-array argsort compares them pair by pair, twice as
+        # slowly.
+        order = sorted(range(n), key=ids.__getitem__)
+        ids = [ids[row] for row in order]
+        order = np.array(order, dtype=np.intp)
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
+        variants = variants[order]
+        cells = rank[users]
+        del order, rank
     # One flat index into the row-major users x days matrix.
-    cells = rank[users]
     cells *= k
     cells += days
     cells -= 1
-    del rank, users, days, rows.users, rows.days
+    del users, days, rows.users, rows.days
     present = np.zeros(n * k, dtype=bool)
     present[cells] = True
     daily = np.zeros(present.size)
@@ -476,7 +485,7 @@ def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: b
             f"user {ids[user]}: rows for day {column + 1} sum to a non-finite value"
         )
     return TraceTable(
-        user_ids=ids,
+        user_ids=tuple(ids),
         variants=variants,
         present=present.reshape(n, k),
         values=daily.reshape(n, k),

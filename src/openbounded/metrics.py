@@ -25,7 +25,12 @@ from .core import (
     InclusionPolicy,
     InsufficientDataError,
     TraceTable,
+    row_blocks,
 )
+
+# Users per block of ``metric_table``'s day loop: few enough that a block's
+# columns stay in cache, enough that the loop's Python overhead stays small.
+KERNEL_ROWS = 4096
 
 
 class TestKind(enum.Enum):
@@ -93,36 +98,48 @@ def metric_table(
 ) -> MetricTable:
     """Apply the inclusion rule to every user and compute per-user metrics.
 
-    One pass over the days with one reused per-user day mask: no users x
-    days array is made, and the per-user arrays are few and filled in place.
+    No users x days array is made. The first active days are found a row
+    block of ``BLOCK_CELLS`` cells at a time. The sums then walk the users in
+    blocks of ``KERNEL_ROWS``, each day by day with one reused day mask, so a
+    block's columns are read from cache and the temporaries are one block long.
     """
     traces.require_calendar(calendar)
-    present = traces.present
-    n = len(traces)
-    # Written from the last day back, so the earliest active day stays; 0 for
-    # a user never active. (argmax over days would copy the mask.)
-    first_day = np.zeros(n, dtype=np.intp)
-    for day in range(calendar.k, 0, -1):
-        np.copyto(first_day, day, where=present[:, day - 1])
+    n, k = len(traces), calendar.k
+    first_day = np.empty(n, dtype=np.intp)
+    for block in row_blocks(n, k):
+        # argmax is 0 both for a user first active on day 1 and for one never
+        # active; the cell it points at tells them apart. It copies a
+        # read-only mask, hence the blocks.
+        present = traces.present[block]
+        first = present.argmax(axis=1)
+        active = present[np.arange(first.size), first]
+        first_day[block] = np.where(active, first + 1, 0)
     included = first_day <= policy.admission_deadline(calendar)
     included &= first_day > 0
     last_day = np.broadcast_to(policy.last_day(first_day, calendar), n)
+    weekend = calendar.weekend_mask().tolist()
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
     total = np.zeros(n)
     active_days = np.zeros(n, dtype=np.int32)  # k <= MAX_TRACE_CELLS < 2**31
     weekend_days = np.zeros(n, dtype=np.int32)
-    analysed = np.empty(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for day, weekend in enumerate(calendar.weekend_mask().tolist()):
-            np.less(day, last_day, out=analysed)
-            analysed &= included
-            analysed &= present[:, day]
-            np.add(total, traces.values[:, day], out=total, where=analysed)
-            active_days += analysed
-            if weekend:
-                weekend_days += analysed
-    del last_day, analysed
+        for start in range(0, n, KERNEL_ROWS):
+            block = slice(start, start + KERNEL_ROWS)
+            present, daily = traces.present[block], traces.values[block]
+            block_included, block_last_day = included[block], last_day[block]
+            block_total = total[block]
+            block_active, block_weekend = active_days[block], weekend_days[block]
+            analysed = np.empty(block_total.size, dtype=bool)
+            for day in range(k):
+                np.less(day, block_last_day, out=analysed)
+                analysed &= block_included
+                analysed &= present[:, day]
+                block_total += np.where(analysed, daily[:, day], 0.0)
+                block_active += analysed
+                if weekend[day]:
+                    block_weekend += analysed
+    del last_day
     overflowed = np.flatnonzero(~np.isfinite(total))
     if overflowed.size:
         raise DataFormatError(

@@ -97,6 +97,18 @@ class TestAggregation:
         assert traces.user_ids == ("aa", "zz")
         assert traces.variants.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("require_variant", [False, True])
+    def test_same_table_whatever_the_user_order(self, tmp_path, monday14, require_variant):
+        """Users listed in id order skip the sort; any other order is sorted
+        into the same table, also when the variant rule drops a user."""
+        rows = [(f"u{i:02d}", 1 + i % 5, float(i), (None, "T", "C")[i % 3]) for i in range(12)]
+        shuffled = [rows[i] for i in (7, 2, 11, 0, 5, 9, 1, 10, 4, 8, 3, 6)]
+        in_order, _ = self._read(tmp_path, monday14, rows, require_variant=require_variant)
+        out_of_order, _ = self._read(tmp_path, monday14, shuffled, require_variant=require_variant)
+        assert out_of_order == in_order
+        assert list(in_order.user_ids) == sorted(in_order.user_ids)
+        assert len(in_order) == (8 if require_variant else 12)
+
     def test_variant_conflict_rejected(self, tmp_path, monday14):
         traces, report = self._read(tmp_path, monday14, [
             ("u1", 1, 1.0, "T"),

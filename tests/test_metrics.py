@@ -21,6 +21,7 @@ from openbounded import (
     simulate_model2,
     weekend_ratio_gamma,
 )
+from openbounded import metrics
 from openbounded.metrics import _two_sample_tests, _welch_df, metric_table
 from conftest import make_table, traced_peak, user_rows
 from metrics_reference import two_sided_test
@@ -95,6 +96,14 @@ class TestUserMetric:
         params = Model1Params(p=0.95, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0,
                               calendar=calendar)
         _assert_matches_reference_loop(simulate_model1(params, 40, Seed(8)), policy, calendar)
+
+
+    @pytest.mark.parametrize("policy", [OPEN, bounded(7)])
+    def test_matches_reference_loop_across_kernel_blocks(self, monday14, policy, monkeypatch):
+        """Blocks of 7 users: 1,000 users end in a partial block."""
+        monkeypatch.setattr(metrics, "KERNEL_ROWS", 7)
+        params = Model1Params(p=0.2, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0)
+        _assert_matches_reference_loop(simulate_model1(params, 500, Seed(8)), policy, monday14)
 
 
 class TestGroupSummary:
