@@ -129,8 +129,6 @@ def _cohort_moments(
     weekend = calendar.weekend_mask()
     weekends_through = np.concatenate(([0], np.cumsum(weekend)))  # [t]: weekend days in 1..t
     first = np.arange(1, policy.admission_deadline(calendar) + 1)
-    if not first.size:
-        raise ConfigurationError(f"no admitted cohorts with k={k}, d={policy.d}")
     last = policy.last_day(first, calendar)
     we_first = weekend[first - 1].astype(int)
     free_we = weekends_through[last] - weekends_through[first]

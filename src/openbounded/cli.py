@@ -255,8 +255,8 @@ def _check_input(path: str) -> None:
     """Refuse an ``-i`` that cannot be read before any work is done."""
     if not os.path.exists(path):
         raise ConfigurationError(f"input path {path} does not exist")
-    if os.path.isdir(path):
-        raise ConfigurationError(f"input path {path} is a directory")
+    if not os.path.isfile(path):  # the reader cuts a log by its size, which a pipe lacks
+        raise ConfigurationError(f"input path {path} is not a regular file")
     if not os.access(path, os.R_OK):
         raise ConfigurationError(f"input path {path} is not readable")
 

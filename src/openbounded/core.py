@@ -48,9 +48,9 @@ def require_cells(rows: int, columns: int, what: str) -> None:
         )
 
 
-def row_blocks(rows: int, columns: int) -> list[slice]:
-    """Consecutive slices of about ``BLOCK_CELLS`` cells covering ``rows`` rows."""
-    step = max(1, BLOCK_CELLS // columns)
+def row_blocks(rows: int, columns: int, cells: int = BLOCK_CELLS) -> list[slice]:
+    """Consecutive slices of about ``cells`` cells covering ``rows`` rows."""
+    step = max(1, cells // columns)
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
@@ -138,9 +138,11 @@ class InclusionPolicy:
         return "open" if self.d is None else "bounded"
 
     def validate_for(self, calendar: ExperimentCalendar) -> None:
-        if self.d is not None and self.d > calendar.k:
+        """Refuse a bounded(d) that admits no first-active day: d must be below k."""
+        if self.d is not None and self.d >= calendar.k:
             raise ConfigurationError(
-                f"observation length d={self.d} exceeds experiment length k={calendar.k}"
+                f"observation length d={self.d} admits no user: it must be below "
+                f"the experiment length k={calendar.k}"
             )
 
     def admission_deadline(self, calendar: ExperimentCalendar) -> DayIndex:

@@ -17,11 +17,12 @@ and checked row by row, with the same result. The log-order stage then
 applies the variant rules (a conflicting variant; a missing one, where a
 variant is required) once, vectorised, over the columns of the whole log.
 
-A JSONL log of at least ``PARALLEL_MIN_BYTES`` is read on every usable
-core: it is cut into one contiguous byte range per core, each cut just after
-a "\\n", and forked workers decode the later ranges. The blocks are joined in
-file order before the log-order stage, so no result depends on the number
-of cores; ``taskset -c 0`` gives the same tables. CSV is read serially.
+A JSONL log is cut into contiguous byte ranges, each cut just after a "\\n":
+one per usable core for a log of at least ``PARALLEL_MIN_BYTES``, else one.
+``parallel.run_blocks`` decodes the later ranges in forked workers. The
+blocks are joined in file order before the log-order stage, so no result
+depends on the number of cores; ``taskset -c 0`` gives the same tables. CSV
+is read serially.
 """
 
 from __future__ import annotations
@@ -118,8 +119,7 @@ def write_event_log(path: str | Path, traces: TraceTable) -> int:
     spelling and fails the write with DataFormatError before the file is opened.
     """
     k = traces.k
-    step = max(1, WRITE_CHUNK_ROWS // k)
-    blocks = [slice(start, start + step) for start in range(0, len(traces), step)]
+    blocks = row_blocks(len(traces), k, WRITE_CHUNK_ROWS)
     for block in blocks:
         # An absent cell holds 0, so the first non-finite cell is the first in log order.
         finite = np.isfinite(traces.values[block])
@@ -259,8 +259,8 @@ def _add_canonical(found: list[tuple[str, str, str, str]], rows: LogRows, k: int
     rows.codes.extend(map(_VARIANT_CODE.__getitem__, variants))
 
 
-def _decode_jsonl(path: Path, start: int, stop: int | None, k: int) -> LogRows:
-    """The rows of bytes ``start..stop`` of a JSONL log (to its end where ``stop`` is None).
+def _decode_jsonl(path: Path, start: int, stop: int, k: int) -> LogRows:
+    """The rows of bytes ``start..stop`` of a JSONL log.
 
     ``start`` and ``stop`` fall just after a "\\n", so both are line ends under
     every line-end convention. Lines are read ``READ_CHUNK_LINES`` at a time.
@@ -271,7 +271,7 @@ def _decode_jsonl(path: Path, start: int, stop: int | None, k: int) -> LogRows:
     rows, accept = _row_check(k)
     canonical = _CANONICAL_LINE.findall
     total = 0
-    left = math.inf if stop is None else stop - start
+    left = stop - start
     with open(path, "rb") as fh:
         if start:
             fh.seek(start)
@@ -335,7 +335,8 @@ def _decode_csv(path: Path, k: int) -> LogRows:
 
 
 def _byte_ranges(path: Path, parts: int) -> list[tuple[int, int]]:
-    """At most ``parts`` contiguous byte ranges covering the file, each cut just after a "\\n"."""
+    """At most ``parts`` contiguous byte ranges covering the file, each cut just
+    after a "\\n"; an empty file is one empty range."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         cuts = [0]
@@ -344,22 +345,19 @@ def _byte_ranges(path: Path, parts: int) -> list[tuple[int, int]]:
             fh.readline()
             cuts.append(min(fh.tell(), size))
     cuts.append(size)
-    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop] or [(0, 0)]
 
 
 def _decode_jsonl_blocks(path: Path, k: int) -> list[LogRows]:
     """The rows of a JSONL log, one block per byte range, in file order.
 
     A log of at least ``PARALLEL_MIN_BYTES`` is split into one range per
-    usable core, each decoded by a forked worker; any other log is one range.
+    usable core, the later ones decoded by forked workers; any other is one.
     """
-    ranges = []
-    if os.path.getsize(path) >= PARALLEL_MIN_BYTES:
-        from . import parallel  # only a log worth splitting loads the fork machinery
+    from . import parallel  # here, so a command that only writes a log never loads it
 
-        ranges = _byte_ranges(path, parallel.usable_cores())
-    if len(ranges) < 2:
-        return [_decode_jsonl(path, 0, None, k)]
+    parts = parallel.usable_cores() if os.path.getsize(path) >= PARALLEL_MIN_BYTES else 1
+    ranges = _byte_ranges(path, parts)
     return parallel.run_blocks(_decode_jsonl, [(path, start, stop, k) for start, stop in ranges])
 
 

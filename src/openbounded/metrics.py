@@ -116,7 +116,8 @@ def metric_table(
         first_day[block] = np.where(active, first + 1, 0)
     included = first_day <= policy.admission_deadline(calendar)
     included &= first_day > 0
-    last_day = np.broadcast_to(policy.last_day(first_day, calendar), n)
+    # An excluded user's window ends before day 1, so no day of theirs is analysed.
+    last_day = np.where(included, policy.last_day(first_day, calendar), 0)
     weekend = calendar.weekend_mask().tolist()
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
@@ -127,13 +128,11 @@ def metric_table(
         for start in range(0, n, KERNEL_ROWS):
             block = slice(start, start + KERNEL_ROWS)
             present, daily = traces.present[block], traces.values[block]
-            block_included, block_last_day = included[block], last_day[block]
-            block_total = total[block]
+            block_last_day, block_total = last_day[block], total[block]
             block_active, block_weekend = active_days[block], weekend_days[block]
             analysed = np.empty(block_total.size, dtype=bool)
             for day in range(k):
                 np.less(day, block_last_day, out=analysed)
-                analysed &= block_included
                 analysed &= present[:, day]
                 block_total += np.where(analysed, daily[:, day], 0.0)
                 block_active += analysed
@@ -196,9 +195,13 @@ def delta_from_samples(
         raise InsufficientDataError(f"treatment group has {n_t} included users; need >= 2")
     if n_c < 2:
         raise InsufficientDataError(f"control group has {n_c} included users; need >= 2")
+    exponent = _scale_exponent(treatment, control)
     with np.errstate(over="ignore", invalid="ignore"):
-        arms = [(x.size, x.mean(), x.var(ddof=1)) for x in (treatment, control)]
-    delta, variance, statistic, p_value = map(float, _two_sample_tests(*arms[0], *arms[1], test))
+        arms = [(x.size, x.mean(), x.var(ddof=1))
+                for x in (np.ldexp(treatment, -exponent), np.ldexp(control, -exponent))]
+    delta, variance, statistic, p_value = map(
+        float, _two_sample_tests(*arms[0], *arms[1], test, exponent)
+    )
     return AnalysisResult(
         delta=delta,
         variance=variance,
@@ -209,12 +212,30 @@ def delta_from_samples(
     )
 
 
-def _two_sample_tests(n_t, mean_t, var_t, n_c, mean_c, var_c, test: TestKind) -> tuple:
+def _scale_exponent(*samples: np.ndarray) -> int:
+    """The e by which ``samples`` are divided, as ``2**e``, before any moment is formed.
+
+    0 where the largest |value| lies in [2^-100, 2^100]. Otherwise the binary
+    exponent of that value, which brings it below 1, so that no square of a
+    scaled value overflows or turns subnormal and the moments keep every
+    digit. Dividing by a power of two is exact, so a statistic and p-value
+    are those of the raw values.
+    """
+    largest = max(max(-x.min(initial=0.0), x.max(initial=0.0)) for x in samples)
+    if largest == 0.0 or 2.0**-100 <= largest <= 2.0**100:
+        return 0
+    return math.frexp(largest)[1]
+
+
+def _two_sample_tests(n_t, mean_t, var_t, n_c, mean_c, var_c, test: TestKind,
+                      exponent: int = 0) -> tuple:
     """Delta, variance, statistic and two-sided p-value of every cell, from per-arm moments.
 
     Takes each arm's user count, mean and unbiased variance as arrays that
-    broadcast together. A cell with an arm below two users is NaN throughout,
-    and a zero variance gives statistic 0 or +-inf and p-value 1 or 0.
+    broadcast together, of values divided by ``2**exponent``. The delta is
+    scaled back by ``2**exponent`` and the variance by ``4**exponent``. A cell
+    with an arm below two users is NaN throughout, and a zero variance gives
+    statistic 0 or +-inf and p-value 1 or 0.
     """
     with np.errstate(all="ignore"):
         ok = (n_t >= 2) & (n_c >= 2)
@@ -230,6 +251,7 @@ def _two_sample_tests(n_t, mean_t, var_t, n_c, mean_c, var_c, test: TestKind) ->
 
             p_value = 2.0 * stdtr(_welch_df(a, b, variance, n_t, n_c), -np.abs(statistic))
         p_value = np.clip(np.where(flat, delta == 0.0, p_value), 0.0, 1.0)
+        delta, variance = np.ldexp(delta, exponent), np.ldexp(variance, 2 * exponent)
     if not np.isfinite((delta[ok], variance[ok])).all():
         raise DataFormatError("per-user metrics too large: the delta or its variance overflows")
     return delta, variance, statistic, p_value

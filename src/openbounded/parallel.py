@@ -1,8 +1,8 @@
 """Work split into contiguous blocks, the later blocks computed by forked workers.
 
-The power sweep and the event-log reader both split large jobs this way. A
-caller imports this module only once a job is large enough to split, so the
-package's own import path never loads ``multiprocessing``.
+The power sweep and the event-log reader hand every job to ``run_blocks``,
+one block per usable core when it is large and one block otherwise. A lone
+block runs in the caller, so only a job of several loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -46,11 +46,14 @@ def run_blocks(task: Callable[..., Result], blocks: Sequence[tuple]) -> list[Res
     """``[task(*block) for block in blocks]``, one forked worker per block after the first.
 
     Workers inherit the caller's memory and send their results back; the
-    caller computes the first block itself. A worker's exception is raised
-    here. A worker that ends without a reply (killed, say) has its block
-    computed here instead, with the same result. No worker outlives the call.
+    caller computes the first block itself, and a lone block forks nothing.
+    A worker's exception is raised here. A worker that ends without a reply
+    (killed, say) has its block computed here instead, with the same result.
+    No worker outlives the call.
     """
-    from multiprocessing import get_context  # only a job worth splitting pays the import
+    if len(blocks) == 1:
+        return [task(*blocks[0])]
+    from multiprocessing import get_context  # only a job of several blocks pays the import
 
     context = get_context("fork")
     jobs = []

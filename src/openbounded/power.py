@@ -11,9 +11,10 @@ repetition r is a pure function of (seed, r), so curves are reproducible and
 policies are compared on identical subsamples. Fraction 1.0 admits a single
 subset and is analysed once.
 
-A large sweep splits its repetitions into one contiguous block per core the
-process may use, each filled by a forked worker (the caller fills the
-first). Since every repetition depends on (seed, r) alone, the output bytes
+The repetitions are cut into contiguous blocks for ``parallel.run_blocks``:
+one block for a small sweep, filled in this process, and one block per core
+the process may use for a large one, the later blocks filled by forked
+workers. Since every repetition depends on (seed, r) alone, the output bytes
 do not depend on that count: ``taskset -c 0`` gives the same output.
 """
 
@@ -37,6 +38,7 @@ from .core import (
 from .metrics import (
     MetricTable,
     TestKind,
+    _scale_exponent,
     _two_sample_tests,
     delta_from_samples,
     metric_table,
@@ -157,10 +159,15 @@ def _repetition_buckets(seed: Seed, repetition: int, rank_buckets: np.ndarray) -
     return seed.generator(_SUBSAMPLE_STREAM, repetition).permutation(rank_buckets)
 
 
-def _arm_members(table: MetricTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row index, arm (0 control, 1 treatment) and metric of every included assigned user."""
+def _arm_members(table: MetricTable) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+    """Row index, arm (0 control, 1 treatment) and metric of every included
+    assigned user, the metric divided by ``2**e``; and e, from
+    ``metrics._scale_exponent``."""
     users = np.flatnonzero(table.included & (table.variants >= 0))
-    return users, table.variants[users].astype(np.intp), table.values[users]
+    values = table.values[users]
+    exponent = _scale_exponent(values)
+    np.ldexp(values, -exponent, out=values)
+    return (users, table.variants[users].astype(np.intp), values), exponent
 
 
 def _repetition_moments(
@@ -206,20 +213,22 @@ def _merge_cumulative(
 
 
 def _subsample_tests(
-    moments: np.ndarray, test: TestKind
+    moments: np.ndarray, test: TestKind, exponent: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group sizes, delta, variance and p-value at every (repetition, fraction).
 
     ``moments`` stacks each repetition's ``_repetition_moments`` to shape
-    ``(repetitions, 3, fractions, 2)``; its last axis, like that of the
-    returned group sizes, is (control, treatment). ``metrics._two_sample_tests``
-    tests every cell: one with an arm below two users is degenerate (NaN).
+    ``(repetitions, 3, fractions, 2)``, of values divided by ``2**exponent``;
+    its last axis, like that of the returned group sizes, is (control,
+    treatment). ``metrics._two_sample_tests`` tests every cell and scales
+    delta and variance back: a cell with an arm below two users is degenerate
+    (NaN).
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n, mu, m2 = _merge_cumulative(*np.moveaxis(moments, 1, 0))
         var = m2 / (n - 1)
     deltas, variances, _, p_values = _two_sample_tests(
-        n[..., 1], mu[..., 1], var[..., 1], n[..., 0], mu[..., 0], var[..., 0], test
+        n[..., 1], mu[..., 1], var[..., 1], n[..., 0], mu[..., 0], var[..., 0], test, exponent
     )
     return n, deltas, variances, p_values
 
@@ -243,18 +252,24 @@ def _sweep_moments(
     return moments[:, start:stop]
 
 
-def _parallel_sweep(moments: np.ndarray, workers: int, *inputs) -> None:
-    """``_sweep_moments`` over every repetition, one contiguous block per forked worker.
+def _sweep(moments: np.ndarray, seed: Seed, rank_buckets: np.ndarray, members: Sequence) -> None:
+    """``_sweep_moments`` over every repetition, in contiguous blocks joined in repetition order.
 
-    The blocks are joined in repetition order; ``parallel.run_blocks`` says
-    who fills which block and what happens when a worker fails.
+    One block per usable core (at most one per repetition) for a sweep of at
+    least ``PARALLEL_MIN_USER_REPS`` users x repetitions, else one block;
+    ``parallel.run_blocks`` says who fills which block and what happens when a
+    worker fails.
     """
-    from .parallel import run_blocks
+    from . import parallel  # here, so a command that runs no sweep never loads it
 
     repetitions = moments.shape[1]
+    workers = 1
+    if rank_buckets.size * repetitions >= PARALLEL_MIN_USER_REPS:
+        workers = min(parallel.usable_cores(), repetitions)
     bounds = [repetitions * w // workers for w in range(workers + 1)]
-    blocks = [(moments, *inputs, start, stop) for start, stop in zip(bounds, bounds[1:])]
-    for (*_, start, stop), block in zip(blocks, run_blocks(_sweep_moments, blocks)):
+    blocks = [(moments, seed, rank_buckets, members, start, stop)
+              for start, stop in zip(bounds, bounds[1:])]
+    for (*_, start, stop), block in zip(blocks, parallel.run_blocks(_sweep_moments, blocks)):
         moments[:, start:stop] = block
 
 
@@ -311,22 +326,13 @@ def compare_policies(
         )
     tables = [metric_table(traces, policy, calendar) for policy in policies]
     subsampled = [f for f in fracs if f < 1.0]
-    members = [_arm_members(table) for table in tables]
+    members, exponents = zip(*map(_arm_members, tables))
     moments = np.empty((len(tables), repetitions, 3, len(subsampled), 2))
     if subsampled:
-        inputs = (seed, _rank_buckets(len(traces), subsampled), members)
-        workers = 1
-        if len(traces) * repetitions >= PARALLEL_MIN_USER_REPS:
-            from . import parallel  # only a sweep worth splitting loads the fork machinery
-
-            workers = min(parallel.usable_cores(), repetitions)
-        if workers > 1:
-            _parallel_sweep(moments, workers, *inputs)
-        else:
-            _sweep_moments(moments, *inputs, 0, repetitions)
+        _sweep(moments, seed, _rank_buckets(len(traces), subsampled), members)
     curves = []
-    for table, policy, policy_moments in zip(tables, policies, moments):
-        n, deltas, _, p_values = _subsample_tests(policy_moments, test)
+    for table, policy, policy_moments, exponent in zip(tables, policies, moments, exponents):
+        n, deltas, _, p_values = _subsample_tests(policy_moments, test, exponent)
         points = [
             _point(f, deltas[:, j], p_values[:, j], n[:, j, 1], n[:, j, 0], alpha)
             for j, f in enumerate(subsampled)

@@ -1,7 +1,9 @@
 """The public surface: the exported names, and every name the benchmark tracer wraps."""
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import openbounded
+from openbounded import eventlog
+from openbounded.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -120,16 +124,34 @@ def _fresh_run(body: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [None, ["--version"], ["analytic", "--model", "model1"]],
-                         ids=["import", "version", "analytic-model1"])
-def test_commands_load_only_their_layers(argv):
+SIMULATE_LOG = ["simulate", "--model", "model1", "--n-per-arm", "200", "-o", "{log}"]
+
+
+@pytest.mark.parametrize("argv, unrun", [
+    (None, UNRUN_LAYERS),
+    (["--version"], UNRUN_LAYERS),
+    (["analytic", "--model", "model1"], UNRUN_LAYERS),
+    # The writer forks nothing, and a log below eventlog.PARALLEL_MIN_BYTES
+    # is read in the one process.
+    (SIMULATE_LOG, {"openbounded.parallel", "openbounded.metrics", "openbounded.power",
+                    "multiprocessing"}),
+    (["analyze", "-i", "{log}"], {"multiprocessing", "openbounded.power",
+                                  "openbounded.simulate", "scipy"}),
+], ids=["import", "version", "analytic-model1", "simulate", "analyze-small-log"])
+def test_commands_load_only_their_layers(tmp_path, argv, unrun):
+    log = str(tmp_path / "log.jsonl")
+    if argv is not None and argv[0] == "analyze":
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([arg.format(log=log) for arg in SIMULATE_LOG]) == 0
+        assert os.path.getsize(log) < eventlog.PARALLEL_MIN_BYTES
     body = "import contextlib, io, json, sys\nimport openbounded\n"
     if argv is not None:
+        argv = [arg.format(log=log) for arg in argv]
         body += ("from openbounded.cli import main\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  f"    assert main({argv!r}) == 0\n")
     body += "print(json.dumps(sorted(sys.modules)))"
-    assert set(_fresh_run(body)) & UNRUN_LAYERS == set()
+    assert set(_fresh_run(body)) & unrun == set()
 
 
 @pytest.mark.parametrize("test", ["z", "welch"])

@@ -207,13 +207,12 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("command", ["analyze", "power", "power-sweep"])
     @pytest.mark.parametrize("treatment", [
         [("t0", 1, 1e308), ("t0", 2, 1e308), ("t1", 1, 1.0), ("t2", 1, 1.0)],
-        [("t0", 1, 1e308), ("t1", 1, 1e308), ("t2", 1, 1e308)],
-    ], ids=["user-sum", "arm-mean"])
+        [("t0", 1, 1e308), ("t1", 1, -1e308), ("t2", 1, 1e308)],
+    ], ids=["user-sum", "arm-variance"])
     def test_aggregate_overflow_exit_data(self, tmp_path, capsys, command, treatment):
-        # Every row and every user-day is finite; a user's or an arm's sum is not.
-        # "power-sweep" reaches the arm sums only through subsamples: at 0.9
-        # all five users are drawn, and of three huge treatment users two
-        # share one of the two buckets, so that bucket's sum overflows.
+        # Every row and every user-day is finite; a user's sum or an arm's
+        # variance is not. "power-sweep" reaches the arm variance only through
+        # subsamples: at 0.9 all five users are drawn.
         rows = [{"user_id": u, "day": day, "variant": "T", "value": v} for u, day, v in treatment]
         rows += [{"user_id": f"c{i}", "day": 2, "variant": "C", "value": 1.0} for i in (1, 2)]
         path = tmp_path / "huge.jsonl"
@@ -576,11 +575,13 @@ class TestOutputPath:
 class TestInputPath:
     """An ``-i`` that cannot be read exits 1 before the log reader runs."""
 
-    @pytest.mark.parametrize("where", ["missing", "directory", "unreadable"])
+    @pytest.mark.parametrize("where", ["missing", "directory", "fifo", "unreadable"])
     @pytest.mark.parametrize("command", ["analyze", "power"])
     def test_unreadable_input_refused_first(self, tmp_path, capsys, monkeypatch, command, where):
         monkeypatch.setattr(eventlog, "read_event_log", Unreachable())
         path = tmp_path if where == "directory" else tmp_path / "log.jsonl"
+        if where == "fifo":
+            os.mkfifo(path)
         if where == "unreadable":
             path.write_text('{"user_id":"u1","day":1,"value":1.0,"variant":"T"}\n')
             path.chmod(0)
@@ -612,6 +613,19 @@ class TestParameterChecks:
         code, _, err = run_cli(capsys, *power, "--policy", "bounded")
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "power", "analytic"])
+    def test_d_equal_to_k_exit_usage(self, tmp_path, capsys, command):
+        # bounded(k) admits no first-active day; each command refuses it alike.
+        log = tmp_path / "log.jsonl"
+        simulate_log = ["simulate", "--model", "model1", "--n-per-arm", "20", "-o", str(log)]
+        assert run_cli(capsys, *simulate_log)[0] == 0
+        flags = {"analyze": ["-i", str(log)], "power": ["-i", str(log), "--reps", "2"],
+                 "analytic": ["--model", "model1"]}[command]
+        out = tmp_path / "out.txt"
+        code, stdout, err = run_cli(capsys, command, *flags, "--d", "14", "-o", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("error: observation length d=14 ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--model", "model1", "--sigma", "nan"],

@@ -19,6 +19,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,3 +173,40 @@ def test_any_invocation_ends_cleanly(invocation):
     if code == 0 and argv[0] != "simulate":
         assert len(reports) == 1, written
         _check_report(argv[0], reports[0])
+
+
+def _run_report(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    document = json.loads(stdout.getvalue())
+    del document["config"]
+    return document
+
+
+@pytest.mark.parametrize("exponent", [-531, 262], ids=["1e-160", "1e79"])
+@pytest.mark.parametrize("test", ["z", "welch"])
+def test_power_of_two_scale_keeps_statistic_and_p_value(tmp_path, exponent, test):
+    """``log.jsonl`` scaled by 2**exponent: every delta and delta percentile
+    scales by 2**exponent exactly, and every statistic, p-value and power is
+    unchanged, although the raw variances at 1e-160 are subnormal."""
+    reports = []
+    for scale in (0, exponent):
+        log = tmp_path / f"log{scale}.jsonl"
+        log.write_text(_log_text(_arm, lambda u, day: math.ldexp(float(u % 3 + day), scale)))
+        reports.append([
+            _run_report(["analyze", "-i", str(log), "--test", test]),
+            _run_report(["power", "-i", str(log), "--test", test, "--reps", "20",
+                         "--fractions", "0.75,1.0"]),
+        ])
+    (analysis, curves), (scaled_analysis, scaled_curves) = reports
+    scaled_keys = {"delta", "est_p05", "est_p50", "est_p95"}
+    for expected, scaled in ((analysis, scaled_analysis), (curves, scaled_curves)):
+        pairs = list(zip(_leaves(expected), _leaves(scaled), strict=True))
+        assert [key for (key, _), _ in pairs if key in scaled_keys]
+        for (key, value), (scaled_key, scaled_value) in pairs:
+            assert key == scaled_key
+            if key in scaled_keys:
+                assert scaled_value == math.ldexp(value, exponent), key
+            elif key != "variance":
+                assert scaled_value == value, key

@@ -117,7 +117,7 @@ class TestInclusionInterval:
 
     @given(
         st.integers(min_value=1, max_value=14),
-        st.integers(min_value=1, max_value=14),
+        st.integers(min_value=1, max_value=13),
     )
     def test_bounded_admission_subset_of_open(self, t0, d):
         cal = ExperimentCalendar(k=14)

@@ -438,10 +438,27 @@ class TestParallelRead:
                 )
                 assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize("text, parts", [
+        ("", 1), ("", 3), ('{"day":1}\n', 1), ('{"day":1}\n', 4), ('{"day":1}', 2),
+        ("a\nb\n", 5), ("a\r\nb\nc", 4),
+    ], ids=["empty", "empty-3", "one-line", "one-line-4", "one-unended-line-2",
+            "two-lines-5", "three-lines-4"])
+    def test_byte_ranges_cover_the_file_once(self, tmp_path, text, parts):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        ranges = eventlog._byte_ranges(path, parts)
+        assert 1 <= len(ranges) <= parts
+        cuts = [start for start, _ in ranges] + [ranges[-1][1]]
+        assert cuts[0] == 0 and cuts[-1] == len(text)
+        assert all(start < stop for start, stop in ranges) or ranges == [(0, 0)]
+        assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+        assert all(text[cut - 1] == "\n" for cut in cuts[1:-1])
+
     def test_reply_carries_ids_as_a_list(self, tmp_path):
         """A worker's rows reach the parent with their ids as a list, in
         numbering order; the worker's own rows keep the dict."""
-        rows = eventlog._decode_jsonl(self._log(tmp_path), 0, None, 14)
+        path = self._log(tmp_path)
+        rows = eventlog._decode_jsonl(path, 0, path.stat().st_size, 14)
         reply = pickle.loads(pickle.dumps(rows))
         assert isinstance(rows.ids, dict) and reply.ids == list(rows.ids)
         assert [reply.users, reply.days, reply.values, reply.codes, reply.report] == [

@@ -186,6 +186,11 @@ class TestDeltaEstimate:
         assert res_w.statistic == res_z.statistic
         assert res_w.p_value == pytest.approx(res_z.p_value, rel=1e-2)
 
+    def test_arm_sum_past_float_range_still_has_a_mean(self):
+        # The moments are formed on the values divided by 2**1024.
+        result = metrics.delta_from_samples(np.full(4, 1e308), np.ones(2))
+        assert (result.delta, result.variance) == (1e308, 0.0)
+
     @given(st.floats(min_value=-50, max_value=50))
     @settings(max_examples=25, deadline=None)
     def test_shift_invariance(self, shift):

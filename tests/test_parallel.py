@@ -1,11 +1,17 @@
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from openbounded import DataFormatError, parallel
 from openbounded.parallel import run_blocks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _square_unless_in_worker(parent, fail, x):
@@ -34,6 +40,18 @@ class TestUsableCores:
 
 
 class TestRunBlocks:
+    def test_lone_block_runs_in_the_caller_without_multiprocessing(self):
+        # multiprocessing is loaded in this process already, so a fresh one checks.
+        body = ("import json, os, sys\n"
+                "from openbounded.parallel import run_blocks\n"
+                "results = run_blocks(lambda x: [os.getpid(), x], [(7,)])\n"
+                "print(json.dumps([results, os.getpid(), 'multiprocessing' in sys.modules]))")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", body], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        results, caller, loaded = json.loads(done.stdout)
+        assert results == [[caller, 7]] and not loaded
+
     @pytest.mark.parametrize("n_blocks", [1, 2, 3])
     def test_results_in_block_order(self, n_blocks):
         blocks = [(os.getpid(), lambda: None, x) for x in range(2, 2 + n_blocks)]

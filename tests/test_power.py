@@ -25,11 +25,11 @@ from openbounded.cli import main
 from openbounded.metrics import delta_from_samples, metric_table
 from openbounded.power import (
     _arm_members,
-    _parallel_sweep,
     _rank_buckets,
     _repetition_buckets,
     _repetition_moments,
     _subsample_tests,
+    _sweep,
     _sweep_moments,
 )
 from conftest import make_table
@@ -193,10 +193,10 @@ class TestNestedSubsamples:
         table = metric_table(traces, policy, monday14)
         fractions = [0.01, 0.1, 0.3, 0.6, 0.95]
         rank_buckets = _rank_buckets(len(traces), fractions)
-        members = _arm_members(table)
+        members, exponent = _arm_members(table)
         draws = [_repetition_buckets(Seed(32), r, rank_buckets) for r in range(6)]
         moments = np.stack([_repetition_moments(members, b, len(fractions)) for b in draws])
-        n, deltas, variances, p_values = _subsample_tests(moments, test)
+        n, deltas, variances, p_values = _subsample_tests(moments, test, exponent)
         degenerate = 0
         for r, buckets in enumerate(draws):
             for j in range(len(fractions)):
@@ -218,7 +218,7 @@ class TestNestedSubsamples:
 
 
 def _force_workers(monkeypatch, workers):
-    """Make every sweep take the parallel path with ``workers`` processes."""
+    """Make every sweep run in ``workers`` blocks, the later ones in forked workers."""
     monkeypatch.setattr(power, "PARALLEL_MIN_USER_REPS", 0)
     monkeypatch.setattr(parallel, "usable_cores", lambda: workers)
 
@@ -245,19 +245,20 @@ class TestParallelSweep:
     def _sweep_inputs(monday14):
         params = Model1Params(p=0.2, tau=5.0, sigma=65.0, c=100.0)
         traces = simulate_model1(params, 150, Seed(31))
-        members = [_arm_members(metric_table(traces, policy, monday14))
+        members = [_arm_members(metric_table(traces, policy, monday14))[0]
                    for policy in (OPEN, bounded(7))]
         rank_buckets = _rank_buckets(len(traces), TestParallelSweep.FRACTIONS[:-1])
         return traces, (Seed(32), rank_buckets, members)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_moments_bit_identical_to_serial(self, monday14, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_moments_bit_identical_to_serial(self, monday14, monkeypatch, workers):
         _, inputs = self._sweep_inputs(monday14)
         shape = (2, self.REPETITIONS, 3, len(self.FRACTIONS) - 1, 2)
-        serial, parallel = np.empty(shape), np.empty(shape)
+        serial, swept = np.empty(shape), np.empty(shape)
         _sweep_moments(serial, *inputs, 0, self.REPETITIONS)
-        _parallel_sweep(parallel, workers, *inputs)
-        assert parallel.tobytes() == serial.tobytes()
+        _force_workers(monkeypatch, workers)
+        _sweep(swept, *inputs)
+        assert swept.tobytes() == serial.tobytes()
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("test", [TestKind.Z, TestKind.WELCH])
