@@ -47,9 +47,8 @@ def run_blocks(task: Callable[..., Result], blocks: Sequence[tuple]) -> list[Res
 
     Workers inherit the caller's memory and send their results back; the
     caller computes the first block itself, and a lone block forks nothing.
-    A worker's exception is raised here. A worker that ends without a reply
-    (killed, say) has its block computed here instead, with the same result.
-    No worker outlives the call.
+    A worker's exception is raised here; a worker that ends without a reply
+    (killed, say) has its block computed here. No worker outlives the call.
     """
     if len(blocks) == 1:
         return [task(*blocks[0])]

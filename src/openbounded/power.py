@@ -255,10 +255,9 @@ def _sweep_moments(
 def _sweep(moments: np.ndarray, seed: Seed, rank_buckets: np.ndarray, members: Sequence) -> None:
     """``_sweep_moments`` over every repetition, in contiguous blocks joined in repetition order.
 
-    One block per usable core (at most one per repetition) for a sweep of at
-    least ``PARALLEL_MIN_USER_REPS`` users x repetitions, else one block;
-    ``parallel.run_blocks`` says who fills which block and what happens when a
-    worker fails.
+    One block per usable core (at most one per repetition) from
+    ``PARALLEL_MIN_USER_REPS`` users x repetitions on, else one block.
+    ``parallel.run_blocks`` says who fills which block and how a failed worker is handled.
     """
     from . import parallel  # here, so a command that runs no sweep never loads it
 
