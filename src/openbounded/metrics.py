@@ -116,8 +116,6 @@ def metric_table(
         first_day[block] = np.where(active, first + 1, 0)
     included = first_day <= policy.admission_deadline(calendar)
     included &= first_day > 0
-    # An excluded user's window ends before day 1, so no day of theirs is analysed.
-    last_day = np.where(included, policy.last_day(first_day, calendar), 0)
     weekend = calendar.weekend_mask().tolist()
     # Summed day by day from the left, so each user's total carries the
     # same bits as a plain running sum over their active days.
@@ -128,7 +126,11 @@ def metric_table(
         for start in range(0, n, KERNEL_ROWS):
             block = slice(start, start + KERNEL_ROWS)
             present, daily = traces.present[block], traces.values[block]
-            block_last_day, block_total = last_day[block], total[block]
+            # An excluded user's window ends before day 1, so no day of theirs is analysed.
+            block_last_day = np.where(
+                included[block], policy.last_day(first_day[block], calendar), 0
+            )
+            block_total = total[block]
             block_active, block_weekend = active_days[block], weekend_days[block]
             analysed = np.empty(block_total.size, dtype=bool)
             for day in range(k):
@@ -138,7 +140,6 @@ def metric_table(
                 block_active += analysed
                 if weekend[day]:
                     block_weekend += analysed
-    del last_day
     overflowed = np.flatnonzero(~np.isfinite(total))
     if overflowed.size:
         raise DataFormatError(
@@ -196,9 +197,10 @@ def delta_from_samples(
     if n_c < 2:
         raise InsufficientDataError(f"control group has {n_c} included users; need >= 2")
     exponent = _scale_exponent(treatment, control)
+    if exponent:  # scaled copies only where the data are far from unit scale
+        treatment, control = np.ldexp(treatment, -exponent), np.ldexp(control, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):
-        arms = [(x.size, x.mean(), x.var(ddof=1))
-                for x in (np.ldexp(treatment, -exponent), np.ldexp(control, -exponent))]
+        arms = [(x.size, x.mean(), x.var(ddof=1)) for x in (treatment, control)]
     delta, variance, statistic, p_value = map(
         float, _two_sample_tests(*arms[0], *arms[1], test, exponent)
     )
