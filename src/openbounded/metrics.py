@@ -172,15 +172,9 @@ def group_summary(
     """
     if arm not in (0, 1):
         raise ConfigurationError(f"arm must be 1 (treatment) or 0 (control), got {arm!r}")
-    table = metric_table(traces, policy, calendar)
-    return summarize_values(table.arm_values(arm))
-
-
-def summarize_values(values: np.ndarray) -> GroupSummary:
+    values = metric_table(traces, policy, calendar).arm_values(arm)
     n = int(values.size)
-    if n == 0:
-        return GroupSummary(n=0, mean=math.nan, sample_variance=math.nan)
-    mean = float(values.mean())
+    mean = float(values.mean()) if n else math.nan
     var = float(values.var(ddof=1)) if n >= 2 else math.nan
     return GroupSummary(n=n, mean=mean, sample_variance=var)
 

@@ -323,21 +323,27 @@ def compare_policies(
             f"{repetitions} repetitions x {len(fracs)} fractions x {len(policies)} policies "
             f"make {cells} sweep cells, more than the {MAX_SWEEP_CELLS} a sweep may hold"
         )
-    tables = [metric_table(traces, policy, calendar) for policy in policies]
+    # One policy's table at a time: the sweep needs only its members, and
+    # fraction 1.0 (if asked for) its full-sample point, a list of zero or one.
+    members, exponents, full_points = [], [], []
+    for policy in policies:
+        table = metric_table(traces, policy, calendar)
+        member, exponent = _arm_members(table)
+        members.append(member)
+        exponents.append(exponent)
+        full_points.append([_full_sample_point(table, alpha, test)] if fracs[-1] == 1.0 else [])
+        del table
     subsampled = [f for f in fracs if f < 1.0]
-    members, exponents = zip(*map(_arm_members, tables))
-    moments = np.empty((len(tables), repetitions, 3, len(subsampled), 2))
+    moments = np.empty((len(policies), repetitions, 3, len(subsampled), 2))
     if subsampled:
         _sweep(moments, seed, _rank_buckets(len(traces), subsampled), members)
     curves = []
-    for table, policy, policy_moments, exponent in zip(tables, policies, moments, exponents):
+    for policy, policy_moments, exponent, full in zip(policies, moments, exponents, full_points):
         n, deltas, _, p_values = _subsample_tests(policy_moments, test, exponent)
         points = [
             _point(f, deltas[:, j], p_values[:, j], n[:, j, 1], n[:, j, 0], alpha)
             for j, f in enumerate(subsampled)
-        ]
-        if fracs[-1] == 1.0:
-            points.append(_full_sample_point(table, alpha, test))
+        ] + full
         curves.append(
             PowerCurve(policy=policy, points=tuple(points), repetitions=repetitions, alpha=alpha)
         )

@@ -260,9 +260,21 @@ def inject_effect(
             f"{base} is past float range"
         )
 
-    # One copy, lifted in place: (value + tau) + weekend extra on treated active days.
+    # One copy, lifted in place one block of rows at a time: (value + tau) +
+    # weekend extra on treated active days. A lifted cell past float range is
+    # the parameters' fault, as in the simulators.
     values = traces.values.copy()
-    lift = treated[:, None] & traces.present
-    np.add(values, tau, out=values, where=lift)
-    np.add(values, np.where(calendar.weekend_mask(), tau_prime, 0.0), out=values, where=lift)
+    weekend = np.where(calendar.weekend_mask(), tau_prime, 0.0)
+    for block in row_blocks(*values.shape):
+        rows, lift = values[block], treated[block, None] & traces.present[block]
+        with np.errstate(over="ignore"):
+            np.add(rows, tau, out=rows, where=lift)
+            np.add(rows, weekend, out=rows, where=lift)
+        overflowed = lift & np.isinf(rows)
+        if overflowed.any():
+            user, column = divmod(int(overflowed.argmax()), rows.shape[1])
+            raise ConfigurationError(
+                f"injected outcome of user {traces.user_ids[block.start + user]} on day "
+                f"{column + 1} is not finite: the lift reaches past float range"
+            )
     return replace(traces, variants=treated.astype(np.int8), values=values)

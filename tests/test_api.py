@@ -128,7 +128,8 @@ SIMULATE_LOG = ["simulate", "--model", "model1", "--n-per-arm", "200", "-o", "{l
 
 
 @pytest.mark.parametrize("argv, unrun", [
-    (None, UNRUN_LAYERS),
+    # A bare import loads no layer at all, and so no numpy.
+    (None, UNRUN_LAYERS | {"openbounded.core", "openbounded.analytic", "numpy"}),
     (["--version"], UNRUN_LAYERS),
     (["analytic", "--model", "model1"], UNRUN_LAYERS),
     # The writer forks nothing, and a log below eventlog.PARALLEL_MIN_BYTES

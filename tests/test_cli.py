@@ -346,19 +346,20 @@ class TestPowerCommand:
         label = "weekend lift" if flag == "--inject-weekend-lift" else "injected lift"
         assert err.startswith("error:") and err.count("\n") == 1 and label in err
 
-    @pytest.mark.parametrize("value, lift, expected", [
-        (100.0, "1e307", 1),
-        (1e308, "0.01", 2),
-    ], ids=["scaled-lift", "control-sum"])
-    def test_relative_lift_past_float_range(self, tmp_path, capsys, value, lift, expected):
+    @pytest.mark.parametrize("value, lifts, expected", [
+        (100.0, ["--inject-lift", "1e307"], 1),
+        (1e308, ["--inject-lift", "0.01"], 2),
+        # Each lift is finite; together they take a weekend outcome past float range.
+        (100.0, ["--inject-lift", "1e306", "--inject-weekend-lift", "1e306"], 1),
+    ], ids=["scaled-lift", "control-sum", "lifted-outcome"])
+    def test_relative_lift_past_float_range(self, tmp_path, capsys, value, lifts, expected):
         log = tmp_path / "raw.jsonl"
         log.write_text("".join(
-            json.dumps({"user_id": f"u{u:03d}", "day": 1, "value": value}) + "\n"
-            for u in range(20)
+            json.dumps({"user_id": f"u{u:03d}", "day": day, "value": value}) + "\n"
+            for u in range(20) for day in (1, 6)
         ))
         code, out, err = run_cli(
-            capsys, "power", "-i", str(log), "--inject-lift", lift,
-            "--fractions", "1.0", "--reps", "2",
+            capsys, "power", "-i", str(log), *lifts, "--fractions", "1.0", "--reps", "2",
         )
         assert code == expected and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "float range" in err

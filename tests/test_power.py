@@ -1,3 +1,4 @@
+import gc
 import math
 import multiprocessing
 import os
@@ -22,7 +23,7 @@ from openbounded import (
     simulate_model1,
 )
 from openbounded.cli import main
-from openbounded.metrics import delta_from_samples, metric_table
+from openbounded.metrics import MetricTable, delta_from_samples, metric_table
 from openbounded.power import (
     _arm_members,
     _rank_buckets,
@@ -157,6 +158,26 @@ class TestComparePolicies:
         gap_full = abs(open_curve.points[1].est_p50 - bounded_curve.points[1].est_p50)
         assert gap_full <= gap_small + 0.02
         assert gap_full < 0.1
+
+    def test_sweep_holds_no_metric_table(self, monday14, monkeypatch):
+        # Each policy's table is dropped once its members and its fraction-1.0
+        # point are taken, so the sweep's moments never sit beside a table.
+        def live_tables():
+            gc.collect()
+            return sum(isinstance(o, MetricTable) for o in gc.get_objects())
+
+        sweep, during = power._sweep, []
+
+        def watched(*args):
+            during.append(live_tables())
+            sweep(*args)
+
+        traces = _noisy_dataset(200)
+        before = live_tables()
+        monkeypatch.setattr(power, "_sweep", watched)
+        curves = compare_policies(traces, monday14, [0.5, 1.0], repetitions=4, seed=Seed(19))
+        assert during == [before]
+        assert [len(curve.points) for curve in curves] == [2, 2]
 
 
 class TestNestedSubsamples:
