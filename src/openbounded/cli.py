@@ -295,6 +295,11 @@ def _simulate_traces(args: argparse.Namespace, calendar: ExperimentCalendar, see
 def cmd_simulate(args: argparse.Namespace) -> None:
     if args.output == "-":
         raise ConfigurationError("simulate writes a log and its sidecar: give a path with -o")
+    if os.path.splitext(args.output)[1].lower() == ".csv":  # read_event_log's suffix test
+        raise ConfigurationError(
+            f"simulate writes JSONL, and a log named {args.output} would be read as CSV: "
+            "give -o a path that does not end in .csv"
+        )
     from .eventlog import write_event_log, write_metadata
 
     calendar = _calendar(args)
@@ -381,6 +386,9 @@ def cmd_power(args: argparse.Namespace) -> Report:
     if args.model and args.inject_lift is not None:
         raise ConfigurationError("--inject-lift applies to --input logs; model runs carry "
                                  "their effect in --tau/--tau-prime")
+    if args.inject_lift is None and (args.inject_weekend_lift or args.inject_absolute):
+        raise ConfigurationError("--inject-weekend-lift and --inject-absolute shape the effect "
+                                 "--inject-lift injects; give --inject-lift with them")
     if args.input:
         traces, _ = _load_traces(args, calendar, require_variant=False)
         has_variants = bool((traces.variants >= 0).any())

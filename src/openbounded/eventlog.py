@@ -47,15 +47,18 @@ from .core import (
     DataFormatError,
     ExperimentCalendar,
     TraceTable,
+    block_rows,
     require_cells,
     row_blocks,
+    user_blocks,
 )
 
 SCHEMA_VERSION = 1
 
-# Cells (users x days) per block of users that ``write_event_log`` formats and
-# writes with one ``write`` call; it holds one block at a time.
-WRITE_CHUNK_ROWS = 16_384
+# Rows per block of users that ``write_event_log`` formats and writes with
+# one ``write`` call. It holds one block at a time: about 1 MB (traced) at
+# 4,096 rows, near the 3.3k rows of its earlier 16,384-cell blocks at p = 0.2.
+WRITE_CHUNK_ROWS = 4096
 # Lines decoded per chunk by the JSONL reader. Larger chunks save little time
 # and raise the reader's peak memory.
 READ_CHUNK_LINES = 1024
@@ -114,35 +117,32 @@ def write_event_log(path: str | Path, traces: TraceTable) -> int:
     gives for ``{"user_id", "day", "variant", "value"}``, built by hand: each
     user's id and variant are formatted once, and a finite float is spelled by
     ``float.__repr__`` as ``json`` spells it. Users are formatted and written
-    one block of at most ``WRITE_CHUNK_ROWS`` cells at a time, so the writer's
+    one block of about ``WRITE_CHUNK_ROWS`` rows at a time, so the writer's
     extra memory does not grow with the table. A non-finite value has no JSON
     spelling and fails the write with DataFormatError before the file is opened.
     """
-    k = traces.k
-    blocks = row_blocks(len(traces), k, WRITE_CHUNK_ROWS)
-    for block in blocks:
-        # An absent cell holds 0, so the first non-finite cell is the first in log order.
-        finite = np.isfinite(traces.values[block])
-        if not finite.all():
-            user, column = divmod(block.start * k + int(finite.argmin()), k)
-            raise DataFormatError(
-                f"user {traces.user_ids[user]}: day {column + 1} holds "
-                f"{traces.values[user, column]}, which JSON cannot spell"
-            )
-    n_rows = 0
+    starts, days, values = traces.starts, traces.days, traces.values
+    # min and max are finite only when every value is, and make no temporary.
+    if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
+        row = int(np.isfinite(values).argmin())
+        user = int(starts.searchsorted(row, side="right")) - 1
+        raise DataFormatError(
+            f"user {traces.user_ids[user]}: day {days[row]} holds {values[row]}, "
+            "which JSON cannot spell"
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for block in blocks:
-            users, columns = np.nonzero(traces.present[block])
-            values = traces.values[block][users, columns]
+        for block in user_blocks(starts, WRITE_CHUNK_ROWS):
+            offsets, users = block_rows(starts, block)
+            lo, hi = offsets[0], offsets[-1]
             heads = [f',"user_id":{json.dumps(user_id)},"value":'
                      for user_id in traces.user_ids[block]]
             tails = [_LINE_END[code] for code in traces.variants[block].tolist()]
             fh.write("".join([
-                f'{{"day":{column + 1}{heads[user]}{value!r}{tails[user]}'
-                for user, column, value in zip(users.tolist(), columns.tolist(), values.tolist())
+                f'{{"day":{day}{heads[user]}{value!r}{tails[user]}'
+                for user, day, value in zip(users.tolist(), days[lo:hi].tolist(),
+                                            values[lo:hi].tolist())
             ]))
-            n_rows += len(values)
-    return n_rows
+    return values.size
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -436,14 +436,18 @@ def _variant_rules(rows: LogRows, require_variant: bool) -> tuple:
 
 def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: bool) -> TraceTable:
     """Apply the variant rules to a log's checked rows, then aggregate the rows
-    they accept into a trace table: daily values summed, users sorted by id.
-    ``rows`` is consumed: only its ``report`` is meaningful afterwards. Each
-    row column is freed as soon as it is dead, and the only users x days
-    arrays made are the table's own.
+    they accept into a trace table: users sorted by id, each user's rows in day
+    order, the rows of one user-day summed. ``rows`` is consumed: only its
+    ``report`` is meaningful afterwards. Each row column is freed as soon as
+    it is dead.
 
-    Same-day rows whose sum is not finite fail the whole log with DataFormatError.
+    Rows already in (user, day) order with no repeated user-day, as
+    ``write_event_log`` writes them, become the table's rows as they are.
+    Other rows are sorted stably, and the rows of each user-day are summed in
+    log order starting from 0.0. Same-day rows whose sum is not finite fail
+    the whole log with DataFormatError.
     """
-    # A helper of its own, so the rules' row-length masks are freed before the scatter.
+    # A helper of its own, so the rules' row-length masks are freed before the sort.
     ids, variants, users, days, values = _variant_rules(rows, require_variant)
     del rows.ids, rows.codes  # each row column is deleted once dead, to free it
     n, k = len(ids), calendar.k
@@ -464,29 +468,31 @@ def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: b
         variants = variants[order]
         cells = rank[users]
         del order, rank
-    # One flat index into the row-major users x days matrix.
+    # Each row's cell of the row-major users x days window, in the table's order.
     cells *= k
     cells += days
     cells -= 1
-    del users, days, rows.users, rows.days
-    present = np.zeros(n * k, dtype=bool)
-    present[cells] = True
-    daily = np.zeros(present.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Unbuffered: rows for one user-day are added in log order.
-        np.add.at(daily, cells, values)
-    del cells, values, rows.values
-    # min and max are finite only when every cell is, and make no temporary.
-    if not (math.isfinite(daily.min(initial=0.0)) and math.isfinite(daily.max(initial=0.0))):
-        user, column = divmod(int(np.isfinite(daily).argmin()), k)
-        raise DataFormatError(
-            f"user {ids[user]}: rows for day {column + 1} sum to a non-finite value"
-        )
+    del users, rows.users
+    if not (cells[1:] > cells[:-1]).all():
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        first = np.empty(cells.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        # bincount adds each cell's rows in order, from 0.0, as np.add.at does.
+        values = np.bincount(np.cumsum(first) - 1, values[order])
+        cells = cells[first]
+        del order, first
+        if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
+            user, column = divmod(int(cells[np.isfinite(values).argmin()]), k)
+            raise DataFormatError(
+                f"user {ids[user]}: rows for day {column + 1} sum to a non-finite value"
+            )
+        days = cells % k + 1
+    del rows.days, rows.values
+    starts = cells.searchsorted(np.arange(0, (n + 1) * k, k, dtype=np.int32))
     return TraceTable(
-        user_ids=tuple(ids),
-        variants=variants,
-        present=present.reshape(n, k),
-        values=daily.reshape(n, k),
+        user_ids=tuple(ids), variants=variants, k=k, starts=starts, days=days, values=values
     )
 
 
@@ -515,8 +521,9 @@ def read_event_log(
         raise DataFormatError(f"malformed CSV in event log {path}: {exc}") from exc
     rows = _join(blocks)
     del blocks
-    # A users x days matrix too large to build is refused before the variant
-    # pass allocates anything. With require_variant, a user who never has a
+    # A users x days window past MAX_TRACE_CELLS, which the build's 32-bit
+    # cell index cannot hold, is refused before the variant pass allocates
+    # anything. With require_variant, a user who never has a
     # variant keeps no row, so only users with one count.
     n_users = len(rows.ids)
     if require_variant and n_users * calendar.k > MAX_TRACE_CELLS:

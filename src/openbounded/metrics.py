@@ -25,12 +25,13 @@ from .core import (
     InclusionPolicy,
     InsufficientDataError,
     TraceTable,
-    row_blocks,
+    block_rows,
+    user_blocks,
 )
 
-# Users per block of ``metric_table``'s day loop: few enough that a block's
-# columns stay in cache, enough that the loop's Python overhead stays small.
-KERNEL_ROWS = 4096
+# Rows per block of ``metric_table``: few enough that a block's temporaries
+# stay small and in cache, enough that the loop's Python overhead stays small.
+BLOCK_ROWS = 8192
 
 
 class TestKind(enum.Enum):
@@ -98,48 +99,39 @@ def metric_table(
 ) -> MetricTable:
     """Apply the inclusion rule to every user and compute per-user metrics.
 
-    No users x days array is made. The first active days are found a row
-    block of ``BLOCK_CELLS`` cells at a time. The sums then walk the users in
-    blocks of ``KERNEL_ROWS``, each day by day with one reused day mask, so a
-    block's columns are read from cache and the temporaries are one block long.
+    The rows are walked in blocks of about ``BLOCK_ROWS``, cut at user
+    boundaries. A user's first row gives their first active day; each sum is
+    one ``np.bincount`` a block, which adds a user's rows in day order, so
+    each total carries the same bits as a running sum over the user's active
+    days. The temporaries are one block long.
     """
     traces.require_calendar(calendar)
-    n, k = len(traces), calendar.k
-    first_day = np.empty(n, dtype=np.intp)
-    for block in row_blocks(n, k):
-        # argmax is 0 both for a user first active on day 1 and for one never
-        # active; the cell it points at tells them apart. It copies a
-        # read-only mask, hence the blocks.
-        present = traces.present[block]
-        first = present.argmax(axis=1)
-        active = present[np.arange(first.size), first]
-        first_day[block] = np.where(active, first + 1, 0)
-    included = first_day <= policy.admission_deadline(calendar)
+    deadline = policy.admission_deadline(calendar)
+    n = len(traces)
+    starts, days, daily = traces.starts, traces.days, traces.values
+    weekend = np.concatenate(([False], calendar.weekend_mask()))  # indexed by day
+    # A user's first row gives their first active day; 0 for a user never active.
+    first_day = np.zeros(n, dtype=np.intp)
+    active = starts[1:] > starts[:-1]
+    first_day[active] = days[starts[:-1][active]]
+    del active
+    included = first_day <= deadline
     included &= first_day > 0
-    weekend = calendar.weekend_mask().tolist()
-    # Summed day by day from the left, so each user's total carries the
-    # same bits as a plain running sum over their active days.
+    # An excluded user's window ends before day 1, so no day of theirs is analysed.
+    last_day = np.where(included, policy.last_day(first_day, calendar), 0)
     total = np.zeros(n)
     active_days = np.zeros(n, dtype=np.int32)  # k <= MAX_TRACE_CELLS < 2**31
     weekend_days = np.zeros(n, dtype=np.int32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, KERNEL_ROWS):
-            block = slice(start, start + KERNEL_ROWS)
-            present, daily = traces.present[block], traces.values[block]
-            # An excluded user's window ends before day 1, so no day of theirs is analysed.
-            block_last_day = np.where(
-                included[block], policy.last_day(first_day[block], calendar), 0
-            )
-            block_total = total[block]
-            block_active, block_weekend = active_days[block], weekend_days[block]
-            analysed = np.empty(block_total.size, dtype=bool)
-            for day in range(k):
-                np.less(day, block_last_day, out=analysed)
-                analysed &= present[:, day]
-                block_total += np.where(analysed, daily[:, day], 0.0)
-                block_active += analysed
-                if weekend[day]:
-                    block_weekend += analysed
+    for users in user_blocks(starts, BLOCK_ROWS):
+        offsets, row_user = block_rows(starts, users)
+        lo, hi, size = offsets[0], offsets[-1], offsets.size - 1
+        block_days = days[lo:hi]
+        analysed = block_days <= last_day[users].take(row_user)
+        total[users] = np.bincount(row_user, np.where(analysed, daily[lo:hi], 0.0), size)
+        active_days[users] = np.bincount(row_user, analysed, size)
+        analysed &= weekend.take(block_days)
+        weekend_days[users] = np.bincount(row_user, analysed, size)
+    del last_day
     overflowed = np.flatnonzero(~np.isfinite(total))
     if overflowed.size:
         raise DataFormatError(

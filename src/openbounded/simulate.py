@@ -2,12 +2,14 @@
 
 Every generator is deterministic: the same parameters and seed always
 produce the same trace collection, byte for byte after serialization. Each
-user's randomness occupies a fixed block (one matrix row) keyed by user
-index, so a user's draws never depend on other users' activity.
+user's randomness occupies a fixed stretch of the stream (one row of a
+users x days draw) keyed by user index, so a user's draws never depend on
+other users' activity.
 
-Both population models share one body: each model builds only its presence
-matrix and arm size, and ``_simulated_table`` draws the per-user levels and
-the day-level noise and adds the treatment effect.
+Both population models share one body: each model gives only its presence,
+one block of users at a time, and its arm size, and ``_simulated_table``
+keeps the present cells as rows, draws the per-user levels and the
+day-level noise and adds the treatment effect.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 from dataclasses import replace
-from typing import Literal, Sequence
+from itertools import chain
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -28,11 +31,17 @@ from .core import (
     ExperimentCalendar,
     InsufficientDataError,
     TraceTable,
+    block_rows,
+    day_dtype,
     require_cells,
     row_blocks,
+    user_blocks,
 )
 
 NoiseKind = Literal["normal", "lognormal"]
+# Cells (users x days) per block of the simulators' draws, whose presence and
+# noise are drawn one block at a time; rows per block of ``inject_effect``.
+DRAW_CELLS = 16_384
 # Id tuples of this many user counts are kept: a Monte-Carlo loop
 # simulates one or two sizes many times over.
 USER_ID_CACHE_SIZE = 4
@@ -104,44 +113,67 @@ def _user_ids(total: int) -> tuple[str, ...]:
 # Overflow is caught by the finiteness check below, not warned about.
 @np.errstate(over="ignore", invalid="ignore")
 def _simulated_table(
-    params: Model1Params | Model2Params, presence: np.ndarray, n_treated: int,
-    rng: np.random.Generator, sigma_user: float, noise_kind: NoiseKind,
+    params: Model1Params | Model2Params, total: int, presence: Callable[[slice], np.ndarray],
+    n_treated: int, rng: np.random.Generator, sigma_user: float, noise_kind: NoiseKind,
 ) -> TraceTable:
     """Users ``u0000000``, ... with the first ``n_treated`` in treatment.
 
-    Draws each user's level (c, plus a Normal(0, sigma_user^2) draw when
-    sigma_user > 0) and then the day-level noise from ``rng``, and adds tau
-    plus tau_prime on weekend days to treatment outcomes. The noise matrix
-    becomes the table's values: levels and lift are added, absent cells
-    zeroed and finiteness checked one block of rows at a time, so no other
-    users x days array is made. Outcomes past float range raise
-    ConfigurationError: the parameters cannot describe a log.
+    Takes each block of users' presence from ``presence`` (the block's users
+    x days bool mask) and keeps the present cells as rows. Then draws each
+    user's level (c, plus a Normal(0, sigma_user^2) draw when sigma_user > 0)
+    and the noise of every cell from ``rng``, keeps the noise of the present
+    cells, and adds the levels and, to treatment outcomes, tau plus tau_prime
+    on weekend days. A block holds about ``DRAW_CELLS`` cells, and the draws
+    come in the order of one users x days draw, so no users x days array is
+    made. Outcomes past float range raise ConfigurationError: the parameters
+    cannot describe a log.
     """
     if not 0.0 <= sigma_user < math.inf:
         raise ConfigurationError(f"sigma_user must be a finite number >= 0, got {sigma_user}")
-    total, k = presence.shape
-    levels = np.broadcast_to(params.c, (total, 1))
+    k = params.calendar.k
+    blocks = row_blocks(total, k, DRAW_CELLS)
+    # The day of each cell of a block, row after row, and each row's first cell.
+    cell_days = np.tile(np.arange(1, k + 1, dtype=day_dtype(k)), blocks[0].stop)
+    first_cells = np.arange(0, cell_days.size + 1, k)
+    starts = np.zeros(total + 1, dtype=np.intp)
+    days = []
+    for block in blocks:
+        present = presence(block)
+        cells = np.flatnonzero(present)
+        ends = cells.searchsorted(first_cells[1:present.shape[0] + 1])
+        starts[block.start + 1:block.start + ends.size + 1] = ends + starts[block.start]
+        days.append(cell_days.take(cells))
+    days = np.concatenate(days)
+    levels = params.c
     if sigma_user > 0.0:
-        levels = levels + rng.normal(0.0, sigma_user, (total, 1))
-    values = _noise_matrix(rng, (total, k), params.sigma, noise_kind)
-    lift = params.tau + params.tau_prime * params.calendar.weekend_mask()
-    for block in row_blocks(total, k):
-        rows = values[block]
-        rows += levels[block]
-        rows[:max(0, n_treated - block.start)] += lift
-        np.copyto(rows, 0.0, where=~presence[block])
+        levels = levels + rng.normal(0.0, sigma_user, total)
+    values = np.empty(days.size)
+    lift = np.concatenate(([0.0], params.tau + params.tau_prime * params.calendar.weekend_mask()))
+    for block in blocks:
+        offsets = starts[block.start:block.stop + 1]
+        lo, hi = offsets[0], offsets[-1]
+        counts = offsets[1:] - offsets[:-1]
+        noise = _noise_matrix(rng, (counts.size, k), params.sigma, noise_kind)
+        rows = values[lo:hi]
+        cells = np.repeat(first_cells[:counts.size], counts)
+        cells += days[lo:hi]
+        cells -= 1
+        np.take(noise, cells, out=rows)
+        rows += np.repeat(levels[block], counts) if sigma_user > 0.0 else levels
+        treated = max(0, min(hi, starts[n_treated]) - lo)
+        rows[:treated] += lift.take(days[lo:lo + treated])  # lift is indexed by day
         finite = np.isfinite(rows)
         if not finite.all():
-            user, column = divmod(block.start * k + int(finite.argmin()), k)
+            row = lo + int(finite.argmin())
+            user = int(starts.searchsorted(row, side="right")) - 1
             raise ConfigurationError(
-                f"simulated outcome of user u{user:07d} on day {column + 1} is not finite: "
+                f"simulated outcome of user u{user:07d} on day {days[row]} is not finite: "
                 "the parameters reach past float range"
             )
     variants = np.zeros(total, dtype=np.int8)
     variants[:n_treated] = 1
-    return TraceTable(
-        user_ids=_user_ids(total), variants=variants, present=presence, values=values
-    )
+    return TraceTable(user_ids=_user_ids(total), variants=variants, k=k, starts=starts,
+                      days=days, values=values)
 
 
 def simulate_model1(
@@ -163,14 +195,14 @@ def simulate_model1(
     """
     if n_per_arm < 1:
         raise ConfigurationError(f"n_per_arm must be >= 1, got {n_per_arm}")
-    require_cells(2 * n_per_arm, params.calendar.k, "the users x days matrix")
+    total, k = 2 * n_per_arm, params.calendar.k
+    require_cells(total, k, "the users x days matrix")
     rng = seed.generator()
-    # Drawn a block of rows at a time: each double takes the generator's next
-    # 64-bit output, so the bits are those of one (users, k) draw.
-    presence = np.empty((2 * n_per_arm, params.calendar.k), dtype=bool)
-    for block in row_blocks(*presence.shape):
-        np.less(rng.random(presence[block].shape), params.p, out=presence[block])
-    return _simulated_table(params, presence, n_per_arm, rng, sigma_user, noise_kind)
+
+    def presence(block: slice) -> np.ndarray:
+        return rng.random((min(block.stop, total) - block.start, k)) < params.p
+
+    return _simulated_table(params, total, presence, n_per_arm, rng, sigma_user, noise_kind)
 
 
 def simulate_model2(
@@ -191,8 +223,9 @@ def simulate_model2(
     per_arm = k * params.ns
     require_cells(2 * per_arm, k, "the users x days matrix")
     arrival = (np.arange(2 * per_arm) % per_arm) // params.ns + 1
-    presence = np.arange(1, k + 1) >= arrival[:, None]
-    return _simulated_table(params, presence, per_arm, seed.generator(), sigma_user, noise_kind)
+    return _simulated_table(params, 2 * per_arm,
+                            lambda block: np.arange(1, k + 1) >= arrival[block, None],
+                            per_arm, seed.generator(), sigma_user, noise_kind)
 
 
 def strip_variants(traces: TraceTable) -> TraceTable:
@@ -240,16 +273,27 @@ def inject_effect(
     traces.require_calendar(calendar)
     treated = _assign_treatment(assignment_seed, traces.user_ids)
 
+    blocks = user_blocks(traces.starts, DRAW_CELLS)
     if spec.kind is EffectKind.RELATIVE_LIFT:
-        control_values = traces.values[~treated][traces.present[~treated]]
-        if not control_values.size:
-            raise InsufficientDataError("no control outcomes to anchor the relative lift")
+        sizes = []
+
+        def control_values(block: slice) -> list[float]:
+            offsets, users = block_rows(traces.starts, block)
+            values = traces.values[offsets[0]:offsets[-1]][~treated[block][users]]
+            sizes.append(values.size)
+            return values.tolist()
+
+        # One block of control rows at a time: fsum rounds the exact sum of
+        # all it is given once, however it arrives.
         try:
-            base = math.fsum(control_values) / control_values.size
+            total = math.fsum(chain.from_iterable(map(control_values, blocks)))
         except OverflowError:
             raise DataFormatError(
                 "control outcomes sum past float range; cannot anchor the relative lift"
             ) from None
+        if not sum(sizes):
+            raise InsufficientDataError("no control outcomes to anchor the relative lift")
+        base = total / sum(sizes)
     else:
         base = 1.0
     tau = spec.tau * base
@@ -261,20 +305,22 @@ def inject_effect(
         )
 
     # One copy, lifted in place one block of rows at a time: (value + tau) +
-    # weekend extra on treated active days. A lifted cell past float range is
-    # the parameters' fault, as in the simulators.
+    # weekend extra on treated rows. A lifted value past float range is the
+    # parameters' fault, as in the simulators.
     values = traces.values.copy()
-    weekend = np.where(calendar.weekend_mask(), tau_prime, 0.0)
-    for block in row_blocks(*values.shape):
-        rows, lift = values[block], treated[block, None] & traces.present[block]
+    weekend = np.concatenate(([0.0], np.where(calendar.weekend_mask(), tau_prime, 0.0)))
+    for block in blocks:
+        offsets, users = block_rows(traces.starts, block)
+        lo, hi = offsets[0], offsets[-1]
+        rows, lift = values[lo:hi], treated[block][users]
         with np.errstate(over="ignore"):
             np.add(rows, tau, out=rows, where=lift)
-            np.add(rows, weekend, out=rows, where=lift)
+            np.add(rows, weekend.take(traces.days[lo:hi]), out=rows, where=lift)  # by day
         overflowed = lift & np.isinf(rows)
         if overflowed.any():
-            user, column = divmod(int(overflowed.argmax()), rows.shape[1])
+            row = int(overflowed.argmax())
             raise ConfigurationError(
-                f"injected outcome of user {traces.user_ids[block.start + user]} on day "
-                f"{column + 1} is not finite: the lift reaches past float range"
+                f"injected outcome of user {traces.user_ids[block.start + users[row]]} on day "
+                f"{traces.days[lo + row]} is not finite: the lift reaches past float range"
             )
     return replace(traces, variants=treated.astype(np.int8), values=values)

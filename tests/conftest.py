@@ -23,7 +23,7 @@ def make_table(users, k=14):
         for day, value in day_values.items():
             present[row, day - 1] = True
             values[row, day - 1] = value
-    return TraceTable(
+    return TraceTable.from_dense(
         user_ids=[user_id for user_id, _, _ in users],
         variants=[VARIANT_CODES[variant] for _, variant, _ in users],
         present=present,
@@ -40,9 +40,7 @@ def user_rows(table):
             variant_of[int(code)],
             {int(day) + 1: float(values[day]) for day in np.flatnonzero(present)},
         )
-        for user_id, code, present, values in zip(
-            table.user_ids, table.variants, table.present, table.values
-        )
+        for user_id, code, present, values in zip(table.user_ids, table.variants, *table.dense())
     ]
 
 

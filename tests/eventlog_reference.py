@@ -127,4 +127,4 @@ def read_reference(path, calendar, require_variant=False):
                         f"user {user_id}: rows for day {day} sum to a non-finite value")
                 present[row, day - 1] = True
                 values[row, day - 1] = daily[user_id, day]
-    return TraceTable(users, [CODES[variants[u]] for u in users], present, values), report
+    return TraceTable.from_dense(users, [CODES[variants[u]] for u in users], present, values), report

@@ -288,7 +288,7 @@ class TestModel2:
         traces = simulate_model2(replace(params, sigma=0.0), Seed(0))
         res = delta_estimate(traces, OPEN, params.calendar)
         n = res.n_treatment
-        days = traces.present[traces.variants == 1].sum(axis=1)
+        days = traces.dense()[0][traces.variants == 1].sum(axis=1)
         noise = 2.0 * np.mean(1.0 / days) / n * params.sigma**2
         eta, zeta = model2_variance_coeffs(OPEN, params.calendar, ns=params.ns)
         assert noise + res.variance * (n - 1) / n == pytest.approx(

@@ -99,6 +99,15 @@ class TestSimulateCommand:
         assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["log.csv", "log.CSV", "log.jsonl.Csv"])
+    def test_csv_output_refused(self, tmp_path, capsys, name):
+        """simulate writes JSONL, which the reader would parse as CSV under this name."""
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--model", "model1", "--n-per-arm", "3", "-o", str(tmp_path / name)
+        )
+        assert code == 1 and stdout == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("error:") and err.count("\n") == 1 and ".csv" in err
+
     def test_metadata_sidecar_fields(self, tmp_path, capsys):
         out = tmp_path / "m1.jsonl"
         run_cli(capsys, "simulate", "--model", "model1", "--seed", "3", "-o", str(out))
@@ -363,6 +372,29 @@ class TestPowerCommand:
         )
         assert code == expected and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "float range" in err
+
+    @pytest.mark.parametrize("source, flags", [
+        ("variants", ["--inject-weekend-lift", "0.5"]),
+        ("model", ["--inject-weekend-lift", "0.5"]),
+        ("variants", ["--inject-absolute"]),
+        ("model", ["--inject-absolute"]),
+        ("model", ["--inject-lift", "0.01"]),
+    ])
+    def test_injection_flags_refused_where_nothing_is_injected(self, tmp_path, capsys, source,
+                                                               flags):
+        """A log that carries variants and a model run inject nothing; an
+        injection flag there is refused, not dropped."""
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": f"u{u:03d}", "day": 1, "value": 1.0 + u,
+                        "variant": "TC"[u % 2]}) + "\n" for u in range(20)
+        ))
+        where = ["-i", str(log)] if source == "variants" else ["--model", "model1",
+                                                               "--n-per-arm", "20"]
+        code, out, err = run_cli(capsys, "power", *where, *flags, "--fractions", "1.0",
+                                 "--reps", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--inject" in err
 
     def test_variantless_log_without_injection_rejected(self, tmp_path, capsys):
         log = tmp_path / "raw.jsonl"

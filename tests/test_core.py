@@ -14,7 +14,7 @@ from openbounded import (
 )
 from openbounded.core import BLOCK_CELLS
 from openbounded.metrics import metric_table
-from conftest import make_table, traced_peak
+from conftest import make_table, traced_peak, user_rows
 
 
 class TestCalendar:
@@ -159,28 +159,42 @@ class TestUserTrace:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            TraceTable(("a", "b"), [1, 0], np.zeros((3, 14), bool), np.zeros((3, 14)))
+            TraceTable.from_dense(("a", "b"), [1, 0], np.zeros((3, 14), bool), np.zeros((3, 14)))
         with pytest.raises(ConfigurationError):
-            TraceTable(("a", "b"), [1], np.zeros((2, 14), bool), np.zeros((2, 14)))
+            TraceTable.from_dense(("a", "b"), [1], np.zeros((2, 14), bool), np.zeros((2, 14)))
 
     def test_malformed_columns_rejected(self):
         with pytest.raises(ConfigurationError):
-            TraceTable(("a",), [1], np.zeros((1, 14), bool), np.zeros((1, 13)))
+            TraceTable.from_dense(("a",), [1], np.zeros((1, 14), bool), np.zeros((1, 13)))
         with pytest.raises(ConfigurationError):
-            TraceTable(("a",), [1], np.zeros(14, bool), np.zeros(14))
+            TraceTable.from_dense(("a",), [1], np.zeros(14, bool), np.zeros(14))
         with pytest.raises(ConfigurationError):
-            TraceTable(("a",), [2], np.zeros((1, 14), bool), np.zeros((1, 14)))
+            TraceTable.from_dense(("a",), [2], np.zeros((1, 14), bool), np.zeros((1, 14)))
         with pytest.raises(ConfigurationError):
-            TraceTable(("a",), [1], np.zeros((1, 14), bool), np.ones((1, 14)))
+            TraceTable.from_dense(("a",), [1], np.zeros((1, 14), bool), np.ones((1, 14)))
         # Codes an int8 cast would wrap, truncate or fail on.
         for codes in ([257], [-255], [1.7], ["T"], np.array([255], dtype=np.uint8),
                       np.array([257])):
             with pytest.raises(ConfigurationError):
-                TraceTable(("a",), codes, np.zeros((1, 14), bool), np.zeros((1, 14)))
+                TraceTable.from_dense(("a",), codes, np.zeros((1, 14), bool), np.zeros((1, 14)))
+        # Rows: offsets that are not n + 1, do not start at 0, decrease or miss
+        # the last row; days outside 1..k, repeated or out of order within a user.
+        for starts, days in (([0, 2], [1, 2]), ([1, 2, 3], [1, 2, 3]), ([0, 3, 2], [1, 2, 3]),
+                             ([0, 1, 2], [1, 2, 3]), ([0, 1, 2], [1, 15]), ([0, 1, 2], [0, 1]),
+                             ([0, 2, 2], [3, 3]), ([0, 3, 3], [1, 5, 4])):
+            with pytest.raises(ConfigurationError):
+                TraceTable(("a", "b"), [1, 0], 14, starts, days, np.ones(len(days)))
+        with pytest.raises(ConfigurationError):
+            TraceTable(("a",), [1], 14, [0, 1], [1.0], [1.0])
+        # A user's first day may fall below the previous user's last.
+        table = TraceTable(("a", "b"), [1, 0], 14, [0, 2, 3], [3, 9, 1], [1.0, 2.0, 3.0])
+        assert table.days.dtype == np.int8 and user_rows(table) == [
+            ("a", "T", {3: 1.0, 9: 2.0}), ("b", "C", {1: 3.0})]
 
     def test_days_start_at_one(self, monday14):
         table = make_table([("u", None, {1: 4.0})])
-        assert table.present[0, 0] and table.values[0, 0] == 4.0
+        present, values = table.dense()
+        assert present[0, 0] and values[0, 0] == 4.0
         assert metric_table(table, OPEN, monday14).first_day[0] == 1
         with pytest.raises(ConfigurationError):
             metric_table(make_table([("u", None, {1: 4.0})], k=13), OPEN, monday14)
@@ -188,10 +202,11 @@ class TestUserTrace:
     def test_presence_and_outcome(self):
         table = make_table([("u", "T", {2: 5.0, 9: 7.0})])
         assert len(table) == 1 and table.k == 14
-        assert table.present[0, 1] and not table.present[0, 2]
-        assert table.values[0, 8] == 7.0 and table.values[0, 2] == 0.0
+        present, values = table.dense()
+        assert present[0, 1] and not present[0, 2]
+        assert values[0, 8] == 7.0 and values[0, 2] == 0.0
         with pytest.raises(ValueError):
-            table.values[0, 2] = 1.0
+            table.values[0] = 1.0
 
 
 class TestTableCheckBlocks:
@@ -213,10 +228,10 @@ class TestTableCheckBlocks:
         ids, variants, present, values = self._columns()
         present[:, 3] = True
         values[:, 3] = 2.0
-        TraceTable(ids, variants, present, values)
+        TraceTable.from_dense(ids, variants, present, values)
         values[row, 9] = -0.5
         with pytest.raises(ConfigurationError, match="0.0 on days without activity"):
-            TraceTable(ids, variants, present, values)
+            TraceTable.from_dense(ids, variants, present, values)
 
     @pytest.mark.parametrize("row", [0, STEP - 1, STEP, N - 1])
     def test_bad_variant_found_in_any_block(self, row):
@@ -224,12 +239,13 @@ class TestTableCheckBlocks:
         variants = variants.astype(np.int64)
         variants[row] = 2
         with pytest.raises(ConfigurationError, match="variant codes"):
-            TraceTable(ids, variants, present, values)
+            TraceTable.from_dense(ids, variants, present, values)
 
     def test_check_makes_no_users_x_days_temporary(self):
-        """1e5 x 14 cells: the traced peak of the checks is at most a few
-        blocks, where one users x days bool mask alone is 1.4 MB."""
+        """1e5 users active on all 14 days: the traced peak of the checks is at
+        most a few blocks, where one bool a row alone is 1.4 MB."""
         n = 100_000
-        columns = (tuple(map(str, range(n))), np.zeros(n, np.int8),
-                   np.zeros((n, self.K), bool), np.zeros((n, self.K)))
+        columns = (tuple(map(str, range(n))), np.zeros(n, np.int8), self.K,
+                   np.arange(0, (n + 1) * self.K, self.K),
+                   np.tile(np.arange(1, self.K + 1, dtype=np.int8), n), np.zeros(n * self.K))
         assert traced_peak(lambda: TraceTable(*columns)) <= 4 * BLOCK_CELLS

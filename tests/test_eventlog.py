@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -22,7 +23,9 @@ from openbounded import (
     simulate_model1,
     write_event_log,
     OPEN,
+    bounded,
 )
+from openbounded.metrics import metric_table
 from openbounded import eventlog, parallel
 from openbounded.cli import main
 from openbounded.core import MAX_TRACE_CELLS
@@ -45,7 +48,26 @@ class TestRoundTrip:
         active = [row for row in user_rows(traces) if row[2]]
         assert user_rows(loaded) == sorted(active)
         assert report.n_rejected == 0
-        assert report.accepted_rows == traces.present.sum()
+        assert report.accepted_rows == traces.dense()[0].sum()
+
+    def test_sparse_long_window_reads_in_memory_of_its_rows(self, tmp_path):
+        """2,000 users with 3 active days each in a 280-day window: the read and
+        one metric_table call peak below a quarter of the 5 MB that a users x
+        days table of a flag and a value a cell would take."""
+        calendar = ExperimentCalendar(280)
+        rng = np.random.default_rng(5)
+        path = write_rows(tmp_path / "log.jsonl", [
+            {"user_id": f"u{user:04d}", "day": int(day), "value": float(rng.normal()),
+             "variant": "TC"[user % 2]}
+            for user in range(2000) for day in np.sort(rng.choice(280, 3, replace=False)) + 1
+        ])
+
+        def read_and_analyse():
+            traces, _ = read_event_log(path, calendar, require_variant=True)
+            metric_table(traces, bounded(7), calendar)
+
+        read_and_analyse()  # imports and compiled patterns load on the first call
+        assert traced_peak(read_and_analyse) < 2_000 * 280 * 9 // 4
 
     def test_analysis_identical_after_round_trip(self, tmp_path, monday14):
         traces = simulate_model1(Model1Params(p=0.5, tau=1.0, sigma=1.0), 60, Seed(4))
@@ -108,6 +130,18 @@ class TestAggregation:
         assert out_of_order == in_order
         assert list(in_order.user_ids) == sorted(in_order.user_ids)
         assert len(in_order) == (8 if require_variant else 12)
+        # Repeated user-days and -0.0 values, in (user, day) order and reversed:
+        # repeats are summed in log order from 0.0, whatever the order of the log.
+        repeats = [("u04", 5, 2.5, "T"), ("u04", 5, -0.0, "T"), ("u07", 3, -0.0, "T"),
+                   ("u01", 9, -0.0, "T"), ("u01", 9, -0.0, "T"), ("u11", 8, -0.0, "C")]
+        rows = sorted(rows + repeats, key=lambda row: row[:2])
+        in_order, _ = self._read(tmp_path, monday14, rows, require_variant=require_variant)
+        reversed_rows, _ = self._read(tmp_path, monday14, rows[::-1],
+                                      require_variant=require_variant)
+        assert reversed_rows == in_order
+        days = dict((user_id, day_values) for user_id, _, day_values in user_rows(in_order))
+        assert days["u04"] == {5: 6.5} and days["u07"] == {3: 7.0}
+        assert days["u01"] == {2: 1.0, 9: 0.0} and math.copysign(1.0, days["u01"][9]) == 1.0
 
     def test_variant_conflict_rejected(self, tmp_path, monday14):
         traces, report = self._read(tmp_path, monday14, [
@@ -126,12 +160,13 @@ class TestAggregation:
         assert report.rejected == {"missing-variant": 1}
 
     def test_cell_index_cannot_wrap(self):
-        # The scatter indexes the users x days matrix with int32 cells.
+        # The build orders rows by an int32 cell of the users x days window.
         assert MAX_TRACE_CELLS <= np.iinfo(np.int32).max
 
 
-# Users per block of the writer at k = 14.
-BLOCK = WRITE_CHUNK_ROWS // 14
+# Users per block of the writer at k = 14 when every user is active every day:
+# a block ends with the first user whose rows reach WRITE_CHUNK_ROWS.
+BLOCK = -(-WRITE_CHUNK_ROWS // 14)
 
 
 def first_cells(n_cells):
@@ -152,7 +187,8 @@ class TestWriter:
 
     @pytest.mark.parametrize("present", [
         *(pytest.param(first_cells(n), id=str(n))
-          for n in (0, 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1)),
+          for n in (0, 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1,
+                    4 * WRITE_CHUNK_ROWS, 4 * WRITE_CHUNK_ROWS + 1)),
         pytest.param(np.ones((BLOCK - 1, 14), dtype=bool), id="block-1-users"),
         pytest.param(np.ones((BLOCK, 14), dtype=bool), id="block-users"),
         pytest.param(np.ones((BLOCK + 1, 14), dtype=bool), id="block+1-users"),
@@ -161,7 +197,7 @@ class TestWriter:
     def test_lines_match_json_dumps(self, tmp_path, present):
         n_users, k = present.shape
         values = np.resize(np.array(self.VALUES), n_users * k).reshape(n_users, k)
-        traces = TraceTable(
+        traces = TraceTable.from_dense(
             user_ids=[f"{self.PREFIXES[i % 5]}{i}" for i in range(n_users)],
             variants=np.resize(np.array([1, 0, -1], dtype=np.int8), n_users),
             present=present,
@@ -170,14 +206,15 @@ class TestWriter:
         path = tmp_path / "log.jsonl"
         assert write_event_log(path, traces) == int(present.sum())
         variant_of = {code: variant for variant, code in VARIANT_CODES.items()}
+        table_present, table_values = traces.dense()
         expected = [
             json.dumps(
                 {"user_id": traces.user_ids[user], "day": int(column) + 1,
                  "variant": variant_of[int(traces.variants[user])],
-                 "value": float(traces.values[user, column])},
+                 "value": float(table_values[user, column])},
                 sort_keys=True, separators=(",", ":"),
             ) + "\n"
-            for user, column in zip(*np.nonzero(traces.present))
+            for user, column in zip(*np.nonzero(table_present))
         ]
         assert path.read_bytes() == "".join(expected).encode("utf-8")
 
@@ -185,7 +222,7 @@ class TestWriter:
         values = (*self.VALUES, 1e16, 1e-05, 0.5e-4, 123456789.125, -1e300)
         printable = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
         ids = ["u1", printable, " ", "~"]
-        traces = TraceTable(
+        traces = TraceTable.from_dense(
             user_ids=ids,
             variants=np.array([1, 0, -1, 1], dtype=np.int8),
             present=np.ones((len(ids), len(values)), dtype=bool),
@@ -210,7 +247,7 @@ class TestWriter:
         monkeypatch.setattr(eventlog, "_decode_lines", per_line_decode)
         traces, report = read_event_log(path, monday14, require_variant=True)
         assert report.total_rows > eventlog.READ_CHUNK_LINES
-        assert report.accepted_rows == report.total_rows == int(traces.present.sum())
+        assert report.accepted_rows == report.total_rows == int(traces.dense()[0].sum())
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_value_refused(self, tmp_path, value):
@@ -223,7 +260,7 @@ class TestWriter:
         # though the later block's cell is on an earlier day.
         values = np.ones((2 * BLOCK, 14))
         values[BLOCK - 1, 8] = values[BLOCK, 1] = value
-        traces = TraceTable(
+        traces = TraceTable.from_dense(
             user_ids=[f"u{i:05d}" for i in range(2 * BLOCK)],
             variants=np.zeros(2 * BLOCK, dtype=np.int8),
             present=np.ones(values.shape, dtype=bool),

@@ -100,8 +100,9 @@ class TestUserMetric:
 
     @pytest.mark.parametrize("policy", [OPEN, bounded(7)])
     def test_matches_reference_loop_across_kernel_blocks(self, monday14, policy, monkeypatch):
-        """Blocks of 7 users: 1,000 users end in a partial block."""
-        monkeypatch.setattr(metrics, "KERNEL_ROWS", 7)
+        """Blocks of about 7 rows, cut at user boundaries: 1,000 users end in a
+        partial block."""
+        monkeypatch.setattr(metrics, "BLOCK_ROWS", 7)
         params = Model1Params(p=0.2, tau=1.0, tau_prime=0.5, sigma=65.0, c=100.0)
         _assert_matches_reference_loop(simulate_model1(params, 500, Seed(8)), policy, monday14)
 
