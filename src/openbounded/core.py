@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 DayIndex = int
-# Most cells of one window or matrix: users x days of a trace table, or the
-# analytic engine's (k+1) x (k+1) outcome mass. A fully active trace table
-# takes 9 to 12 bytes a cell (a day and a value a row), so this caps one
-# near 1.2 GB; a larger request is refused before anything is allocated.
+# Most days of one experiment window: a day fits an int16, and a log row's
+# (user, day) key stays far inside an int64.
+MAX_DAYS = 2**15 - 1
+# Most cells of one drawn or dense matrix: the users x days a simulator draws,
+# or the analytic engine's (k+1) x (k+1) outcome mass. A larger request is
+# refused before anything is allocated. A trace table has no such cap: it
+# holds only its rows.
 MAX_TRACE_CELLS = 100_000_000
 # Cells of one block: a pass that needs a temporary as large as its input
 # (the table check, the simulators, the log build's first-variant pass) makes
@@ -72,7 +75,7 @@ def block_rows(starts: np.ndarray, users: slice) -> tuple[np.ndarray, np.ndarray
 
 def day_dtype(k: int) -> type:
     """The narrowest integer type that holds the days ``1..k``."""
-    return np.int8 if k < 2**7 else np.int16 if k < 2**15 else np.int32
+    return np.int8 if k < 2**7 else np.int16
 
 
 def _whole(value: object, what: str) -> int:
@@ -80,6 +83,19 @@ def _whole(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _window_days(value: object) -> int:
+    """``value`` as the length of an experiment window: an integer in ``1..MAX_DAYS``."""
+    k = _whole(value, "experiment length")
+    if k < 1:
+        raise ConfigurationError(f"experiment length must be >= 1 day, got {k}")
+    if k > MAX_DAYS:
+        raise ConfigurationError(
+            f"an experiment window of {k} days is longer than the {MAX_DAYS} days "
+            "one window may hold"
+        )
+    return k
 
 
 class Weekday(enum.IntEnum):
@@ -102,15 +118,14 @@ class Weekday(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ExperimentCalendar:
-    """Experiment window of ``k`` days whose first day falls on ``start_dow``."""
+    """Experiment window of ``k`` days, at most ``MAX_DAYS``, whose first day
+    falls on ``start_dow``."""
 
     k: int
     start_dow: Weekday = Weekday.MONDAY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _whole(self.k, "experiment length"))
-        if self.k < 1:
-            raise ConfigurationError(f"experiment length must be >= 1 day, got {self.k}")
+        object.__setattr__(self, "k", _window_days(self.k))
 
     def weekday_of(self, t: DayIndex) -> Weekday:
         self.require_day(t)
@@ -196,11 +211,11 @@ class TraceTable:
     ``variants`` codes treatment as 1, control as 0 and unassigned as -1.
     User ``i``'s rows are ``starts[i]:starts[i + 1]``: ``days`` holds each
     row's day in ``1..k``, strictly increasing within a user, and ``values``
-    the outcome that day. A user with no row was never active. ``days`` is
-    the narrowest of int8, int16 and int32 that holds ``k``. The arrays are
-    read-only views. The checks run one block of rows at a time, so
-    constructing a table adds no temporary as large as its rows.
-    ``from_dense`` and ``dense`` convert from and to users x days matrices.
+    the outcome that day. A user with no row was never active, and ``k`` is
+    at most ``MAX_DAYS``. ``days`` is int8 where it holds ``k``, else int16.
+    The arrays are read-only views. The checks run one block of rows at a
+    time, so constructing a table adds no temporary as large as its rows, and
+    its memory grows with its rows alone, never with users x days.
     """
 
     user_ids: tuple[str, ...]
@@ -212,9 +227,7 @@ class TraceTable:
 
     def __post_init__(self) -> None:
         n = len(self.user_ids)
-        k = _whole(self.k, "trace window length")
-        if k < 1:
-            raise ConfigurationError(f"traces must span >= 1 day, got {k}")
+        k = _window_days(self.k)
         variants = np.asarray(self.variants)
         starts = np.asarray(self.starts)
         days = np.asarray(self.days)
@@ -261,43 +274,6 @@ class TraceTable:
             view = array.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    @classmethod
-    def from_dense(cls, user_ids, variants, present, values) -> "TraceTable":
-        """The table of a users x days ``present`` mask and ``values`` matrix.
-
-        ``present[i, t - 1]`` is True when user ``i`` was active on day ``t``,
-        and ``values[i, t - 1]`` holds the outcome that day; ``values`` must be
-        0.0 wherever ``present`` is False.
-        """
-        present = np.asarray(present, dtype=bool)
-        values = np.asarray(values, dtype=float)
-        n = len(user_ids)
-        if present.ndim != 2 or present.shape[0] != n or present.shape[1] < 1:
-            raise ConfigurationError(
-                f"presence mask of shape {present.shape} does not cover {n} users over >= 1 day"
-            )
-        if values.shape != present.shape:
-            raise ConfigurationError(
-                f"value matrix of shape {values.shape} does not match presence {present.shape}"
-            )
-        for block in row_blocks(*present.shape):
-            stray = values[block].astype(bool)
-            if np.greater(stray, present[block], out=stray).any():
-                raise ConfigurationError("values must be 0.0 on days without activity")
-        starts = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(present.sum(axis=1), out=starts[1:])
-        return cls(user_ids, variants, present.shape[1], starts,
-                   np.nonzero(present)[1] + 1, values[present])
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """The users x days presence mask and value matrix (0.0 where absent)."""
-        cells = block_rows(self.starts, slice(0, len(self)))[1] * self.k + self.days - 1
-        present = np.zeros(len(self) * self.k, dtype=bool)
-        present[cells] = True
-        values = np.zeros(present.size)
-        values[cells] = self.values
-        return present.reshape(-1, self.k), values.reshape(-1, self.k)
 
     def __len__(self) -> int:
         return len(self.user_ids)

@@ -43,12 +43,10 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    MAX_TRACE_CELLS,
     DataFormatError,
     ExperimentCalendar,
     TraceTable,
     block_rows,
-    require_cells,
     row_blocks,
     user_blocks,
 )
@@ -168,8 +166,7 @@ class LogRows:
     carries the list: it is smaller, and ``_join`` only iterates over it.
     ``users``, ``days``, ``values`` and ``codes`` (the variant: 1 treatment,
     0 control, -1 none) hold one entry per row, in log order; ``days`` is
-    16-bit where the window allows. ``report`` counts the rows seen and the
-    row-local rejections.
+    16-bit. ``report`` counts the rows seen and the row-local rejections.
     """
 
     days: array
@@ -193,7 +190,7 @@ def _row_check(k: int) -> tuple[LogRows, RowCheck]:
 
     A string day or value must match ``_DAY_TEXT`` or ``_VALUE_TEXT``.
     """
-    rows = LogRows(days=array("h" if k < 2**15 else "q"))
+    rows = LogRows(days=array("h"))
     reject = rows.report.reject
     ids = rows.ids
     add_user, add_day = rows.users.append, rows.days.append
@@ -271,10 +268,12 @@ def _decode_jsonl(path: Path, start: int, stop: int, k: int) -> LogRows:
     rows, accept = _row_check(k)
     canonical = _CANONICAL_LINE.findall
     total = 0
-    left = stop - start
     with open(path, "rb") as fh:
-        if start:
-            fh.seek(start)
+        # A UTF-8 byte-order mark, as spreadsheet exports write one, is not a row.
+        if start == 0 and fh.read(3) == b"\xef\xbb\xbf":
+            start = 3
+        fh.seek(start)
+        left = stop - start
         while left > 0 and (lines := list(islice(fh, READ_CHUNK_LINES))):
             size = sum(map(len, lines))
             if size > left:  # the chunk runs into the next range
@@ -319,9 +318,10 @@ def _decode_lines(text: str, accept: RowCheck, report: IngestReport) -> int:
 
 
 def _decode_csv(path: Path, k: int) -> LogRows:
-    """The rows of a CSV log, its columns found by name."""
+    """The rows of a CSV log, its columns found by name. A UTF-8 byte-order
+    mark before the header is skipped."""
     rows, accept = _row_check(k)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in ("user_id", "day", "value") if c not in header]
@@ -451,11 +451,10 @@ def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: b
     ids, variants, users, days, values = _variant_rules(rows, require_variant)
     del rows.ids, rows.codes  # each row column is deleted once dead, to free it
     n, k = len(ids), calendar.k
-    # A 32-bit cell index cannot wrap: users x days <= MAX_TRACE_CELLS < 2**31.
     if all(map(str.__lt__, ids, islice(ids, 1, None))):
         # Already in id order, as write_event_log writes a log: no sort, and
         # no n Python ints for one.
-        cells = users.astype(np.int32)
+        keys = users.astype(np.int64)
     else:
         # A key sort of the list compares the str ids on list.sort's fast
         # path; an object-array argsort compares them pair by pair, twice as
@@ -463,34 +462,35 @@ def build_traces(rows: LogRows, calendar: ExperimentCalendar, require_variant: b
         order = sorted(range(n), key=ids.__getitem__)
         ids = [ids[row] for row in order]
         order = np.array(order, dtype=np.intp)
-        rank = np.empty(n, dtype=np.int32)
-        rank[order] = np.arange(n, dtype=np.int32)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
         variants = variants[order]
-        cells = rank[users]
+        keys = rank[users]
         del order, rank
-    # Each row's cell of the row-major users x days window, in the table's order.
-    cells *= k
-    cells += days
-    cells -= 1
+    # Each row's (user, day) key, rank * k + day - 1, in the table's order. Ranks
+    # are below 2**31 and k below 2**15, so a key cannot wrap an int64.
+    keys *= k
+    keys += days
+    keys -= 1
     del users, rows.users
-    if not (cells[1:] > cells[:-1]).all():
-        order = np.argsort(cells, kind="stable")
-        cells = cells[order]
-        first = np.empty(cells.size, dtype=bool)
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
         first[:1] = True
-        np.not_equal(cells[1:], cells[:-1], out=first[1:])
-        # bincount adds each cell's rows in order, from 0.0, as np.add.at does.
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        # bincount adds each user-day's rows in order, from 0.0, as np.add.at does.
         values = np.bincount(np.cumsum(first) - 1, values[order])
-        cells = cells[first]
+        keys = keys[first]
         del order, first
         if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
-            user, column = divmod(int(cells[np.isfinite(values).argmin()]), k)
+            user, column = divmod(int(keys[np.isfinite(values).argmin()]), k)
             raise DataFormatError(
                 f"user {ids[user]}: rows for day {column + 1} sum to a non-finite value"
             )
-        days = cells % k + 1
+        days = keys % k + 1
     del rows.days, rows.values
-    starts = cells.searchsorted(np.arange(0, (n + 1) * k, k, dtype=np.int32))
+    starts = keys.searchsorted(np.arange(0, (n + 1) * k, k, dtype=np.int64))
     return TraceTable(
         user_ids=tuple(ids), variants=variants, k=k, starts=starts, days=days, values=values
     )
@@ -521,12 +521,4 @@ def read_event_log(
         raise DataFormatError(f"malformed CSV in event log {path}: {exc}") from exc
     rows = _join(blocks)
     del blocks
-    # A users x days window past MAX_TRACE_CELLS, which the build's 32-bit
-    # cell index cannot hold, is refused before the variant pass allocates
-    # anything. With require_variant, a user who never has a
-    # variant keeps no row, so only users with one count.
-    n_users = len(rows.ids)
-    if require_variant and n_users * calendar.k > MAX_TRACE_CELLS:
-        n_users = len(set(compress(rows.users, map((0).__le__, rows.codes))))
-    require_cells(n_users, calendar.k, "the users x days matrix")
     return build_traces(rows, calendar, require_variant), rows.report

@@ -120,7 +120,7 @@ def metric_table(
     # An excluded user's window ends before day 1, so no day of theirs is analysed.
     last_day = np.where(included, policy.last_day(first_day, calendar), 0)
     total = np.zeros(n)
-    active_days = np.zeros(n, dtype=np.int32)  # k <= MAX_TRACE_CELLS < 2**31
+    active_days = np.zeros(n, dtype=np.int32)  # k <= MAX_DAYS < 2**31
     weekend_days = np.zeros(n, dtype=np.int32)
     for users in user_blocks(starts, BLOCK_ROWS):
         offsets, row_user = block_rows(starts, users)

@@ -245,7 +245,8 @@ def _assign_treatment(seed: Seed, user_ids: Sequence[str]) -> np.ndarray:
 
     def heads(user_id: str) -> bool:
         digest = keyed.copy()
-        digest.update(user_id.encode("utf-8"))
+        # A JSON log may spell a lone surrogate, which strict UTF-8 refuses.
+        digest.update(user_id.encode("utf-8", "surrogatepass"))
         return bool(digest.digest()[0] & 1)
 
     return np.array([heads(u) for u in user_ids], dtype=bool)

@@ -14,6 +14,32 @@ def monday14():
     return ExperimentCalendar(k=14, start_dow=Weekday.MONDAY)
 
 
+def from_dense(user_ids, variants, present, values):
+    """The trace table of a users x days ``present`` mask and ``values`` matrix.
+
+    ``present[i, t - 1]`` is True when user ``i`` was active on day ``t``, and
+    ``values[i, t - 1]`` holds the outcome that day; ``values`` must be 0.0
+    wherever ``present`` is False.
+    """
+    present = np.asarray(present, dtype=bool)
+    values = np.asarray(values, dtype=float)
+    assert present.shape == values.shape and not values[~present].any()
+    starts = np.zeros(len(user_ids) + 1, dtype=np.intp)
+    np.cumsum(present.sum(axis=1), out=starts[1:])
+    return TraceTable(user_ids, variants, present.shape[1], starts,
+                      np.nonzero(present)[1] + 1, values[present])
+
+
+def dense(table):
+    """The users x days presence mask and value matrix of ``table`` (0.0 where absent)."""
+    users = np.arange(len(table)).repeat(np.diff(table.starts))
+    present = np.zeros((len(table), table.k), dtype=bool)
+    values = np.zeros(present.shape)
+    present[users, table.days - 1] = True
+    values[users, table.days - 1] = table.values
+    return present, values
+
+
 def make_table(users, k=14):
     """Build a trace table from ``(user_id, variant, {day: value})`` tuples;
     variant may be 'T', 'C', or None."""
@@ -23,7 +49,7 @@ def make_table(users, k=14):
         for day, value in day_values.items():
             present[row, day - 1] = True
             values[row, day - 1] = value
-    return TraceTable.from_dense(
+    return from_dense(
         user_ids=[user_id for user_id, _, _ in users],
         variants=[VARIANT_CODES[variant] for _, variant, _ in users],
         present=present,
@@ -40,7 +66,7 @@ def user_rows(table):
             variant_of[int(code)],
             {int(day) + 1: float(values[day]) for day in np.flatnonzero(present)},
         )
-        for user_id, code, present, values in zip(table.user_ids, table.variants, *table.dense())
+        for user_id, code, present, values in zip(table.user_ids, table.variants, *dense(table))
     ]
 
 

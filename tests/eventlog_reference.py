@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
-from openbounded import DataFormatError, TraceTable
+from openbounded import DataFormatError
 from openbounded.eventlog import IngestReport
+from conftest import from_dense
 
 CODES = {"T": 1, "C": 0, None: -1}
 ASCII_SPACE = " \t\n\r\f\v"
@@ -101,7 +102,7 @@ def read_reference(path, calendar, require_variant=False):
     k = calendar.k
     report = IngestReport()
     variants, daily = {}, {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for record in _records(fh, str(path).endswith(".csv"), k, report):
             if record is None:
                 continue
@@ -127,4 +128,4 @@ def read_reference(path, calendar, require_variant=False):
                         f"user {user_id}: rows for day {day} sum to a non-finite value")
                 present[row, day - 1] = True
                 values[row, day - 1] = daily[user_id, day]
-    return TraceTable.from_dense(users, [CODES[variants[u]] for u in users], present, values), report
+    return from_dense(users, [CODES[variants[u]] for u in users], present, values), report

@@ -8,8 +8,8 @@ operations, so their tables must equal these, bit for bit.
 
 import numpy as np
 
-from openbounded import TraceTable
 from openbounded.simulate import _user_ids
+from conftest import from_dense
 
 
 def _table(params, presence, n_treated, rng, sigma_user, noise_kind):
@@ -24,7 +24,7 @@ def _table(params, presence, n_treated, rng, sigma_user, noise_kind):
     values += levels[:, None]
     values[:n_treated] += params.tau + params.tau_prime * params.calendar.weekend_mask()
     np.copyto(values, 0.0, where=~presence)
-    return TraceTable.from_dense(
+    return from_dense(
         user_ids=_user_ids(total),
         variants=(np.arange(total) < n_treated).astype(np.int8),
         present=presence,

@@ -338,6 +338,19 @@ class TestPowerCommand:
         point = json.loads(out)["curves"][0]["points"][0]
         assert point["est_p50"] == pytest.approx(5.0)
 
+    def test_injection_hashes_a_lone_surrogate_id(self, tmp_path, capsys):
+        """JSON may spell a user id that strict UTF-8 cannot encode."""
+        log = tmp_path / "raw.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": user_id, "day": 1, "value": 100.0 + i}) + "\n"
+            for i, user_id in enumerate(["\ud800", *(f"u{u:03d}" for u in range(40))])
+        ))
+        code, _, err = run_cli(
+            capsys, "power", "-i", str(log), "--inject-lift", "0.1",
+            "--fractions", "1.0", "--reps", "5", "--seed", "9", "--policy", "open",
+        )
+        assert code == 0 and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--inject-lift", "--inject-weekend-lift"])
     @pytest.mark.parametrize("lift", ["nan", "inf", "-inf"])
     def test_non_finite_injected_lift_exit_usage(self, tmp_path, capsys, flag, lift):
@@ -767,7 +780,7 @@ class TestParameterChecks:
 
     @pytest.mark.parametrize("command", ["analyze", "power"])
     def test_oversized_log_window_refused(self, tmp_path, capsys, monkeypatch, command):
-        """A log read with a huge --k is refused before its users x days matrix exists."""
+        """A huge --k is refused when the calendar is built, before the log is read."""
         log = tmp_path / "log.jsonl"
         log.write_text("".join(
             json.dumps({"user_id": f"{arm}{u}", "day": 1, "variant": arm, "value": 1.0}) + "\n"
@@ -780,6 +793,22 @@ class TestParameterChecks:
         assert code == 1 and stdout == "" and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "may hold" in err
+
+    def test_sparse_log_reads_at_the_longest_window(self, tmp_path, capsys):
+        """4,000 users with one row each fill 32,767-day windows sparsely: the
+        read holds their rows, not a 1.3e8-cell users x days matrix."""
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(
+            json.dumps({"user_id": f"u{u:04d}", "day": 1 + u * 8 % 32767, "variant": "TC"[u % 2],
+                        "value": float(u % 7)}) + "\n"
+            for u in range(4000)
+        ))
+        code, stdout, err = run_cli(capsys, "analyze", "-i", str(log), "--k", "32767",
+                                    "--format", "json")
+        assert code == 0 and err == ""
+        report = json.loads(stdout)
+        assert report["ingest"]["accepted_rows"] == 4000
+        assert [result["n_included"] for result in report["results"]] == [4000, 4000]
 
     @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 767. PiB"), MemoryError()])
     def test_memory_error_exit_usage(self, capsys, monkeypatch, error):

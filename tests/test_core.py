@@ -12,9 +12,9 @@ from openbounded import (
     Weekday,
     bounded,
 )
-from openbounded.core import BLOCK_CELLS
+from openbounded.core import BLOCK_CELLS, MAX_DAYS
 from openbounded.metrics import metric_table
-from conftest import make_table, traced_peak, user_rows
+from conftest import dense, make_table, traced_peak, user_rows
 
 
 class TestCalendar:
@@ -58,6 +58,17 @@ class TestCalendar:
                 ExperimentCalendar(k=k)
         assert ExperimentCalendar(np.int64(14)) == ExperimentCalendar(14)
         assert type(ExperimentCalendar(np.int64(14)).k) is int
+
+    def test_window_capped_at_max_days(self):
+        """A calendar and a table share one cap on the window: 2**15 - 1 days."""
+        assert MAX_DAYS == 32767 == ExperimentCalendar(MAX_DAYS).k
+        table = TraceTable(("a",), [1], MAX_DAYS, [0, 2], [1, MAX_DAYS], [1.0, 2.0])
+        assert table.days.dtype == np.int16 and table.days[-1] == MAX_DAYS
+        for k in (MAX_DAYS + 1, 10**9):
+            with pytest.raises(ConfigurationError, match=f"window of {k} days .* may hold"):
+                ExperimentCalendar(k)
+            with pytest.raises(ConfigurationError, match=f"window of {k} days .* may hold"):
+                TraceTable(("a",), [1], k, [0, 1], [1], [1.0])
 
     def test_day_bounds_checked(self, monday14):
         with pytest.raises(ConfigurationError):
@@ -158,25 +169,17 @@ class TestUserTrace:
     """A user's trace is one row of the TraceTable."""
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceTable.from_dense(("a", "b"), [1, 0], np.zeros((3, 14), bool), np.zeros((3, 14)))
-        with pytest.raises(ConfigurationError):
-            TraceTable.from_dense(("a", "b"), [1], np.zeros((2, 14), bool), np.zeros((2, 14)))
+        with pytest.raises(ConfigurationError, match="variant codes"):
+            TraceTable(("a", "b"), [1], 14, [0, 1, 1], [3], [1.0])
 
     def test_malformed_columns_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceTable.from_dense(("a",), [1], np.zeros((1, 14), bool), np.zeros((1, 13)))
-        with pytest.raises(ConfigurationError):
-            TraceTable.from_dense(("a",), [1], np.zeros(14, bool), np.zeros(14))
-        with pytest.raises(ConfigurationError):
-            TraceTable.from_dense(("a",), [2], np.zeros((1, 14), bool), np.zeros((1, 14)))
-        with pytest.raises(ConfigurationError):
-            TraceTable.from_dense(("a",), [1], np.zeros((1, 14), bool), np.ones((1, 14)))
+        with pytest.raises(ConfigurationError, match="variant codes"):
+            TraceTable(("a",), [2], 14, [0, 1], [3], [1.0])
         # Codes an int8 cast would wrap, truncate or fail on.
         for codes in ([257], [-255], [1.7], ["T"], np.array([255], dtype=np.uint8),
                       np.array([257])):
-            with pytest.raises(ConfigurationError):
-                TraceTable.from_dense(("a",), codes, np.zeros((1, 14), bool), np.zeros((1, 14)))
+            with pytest.raises(ConfigurationError, match="variant codes"):
+                TraceTable(("a",), codes, 14, [0, 1], [3], [1.0])
         # Rows: offsets that are not n + 1, do not start at 0, decrease or miss
         # the last row; days outside 1..k, repeated or out of order within a user.
         for starts, days in (([0, 2], [1, 2]), ([1, 2, 3], [1, 2, 3]), ([0, 3, 2], [1, 2, 3]),
@@ -193,7 +196,7 @@ class TestUserTrace:
 
     def test_days_start_at_one(self, monday14):
         table = make_table([("u", None, {1: 4.0})])
-        present, values = table.dense()
+        present, values = dense(table)
         assert present[0, 0] and values[0, 0] == 4.0
         assert metric_table(table, OPEN, monday14).first_day[0] == 1
         with pytest.raises(ConfigurationError):
@@ -202,7 +205,7 @@ class TestUserTrace:
     def test_presence_and_outcome(self):
         table = make_table([("u", "T", {2: 5.0, 9: 7.0})])
         assert len(table) == 1 and table.k == 14
-        present, values = table.dense()
+        present, values = dense(table)
         assert present[0, 1] and not present[0, 2]
         assert values[0, 8] == 7.0 and values[0, 2] == 0.0
         with pytest.raises(ValueError):
@@ -210,36 +213,45 @@ class TestUserTrace:
 
 
 class TestTableCheckBlocks:
-    """The table checks one block of rows at a time: a bad cell or code is
+    """The table checks one block of rows at a time: a bad day or code is
     found in any block, and no users x days temporary is made."""
 
     K = 14
-    STEP = BLOCK_CELLS // K  # rows per block
+    STEP = BLOCK_CELLS // K
     N = 3 * STEP + 7
+    ROWS = N * K  # every user active every day
 
     def _columns(self):
+        """``N`` users, each active on every day of ``K``, with variant code 0."""
         n = self.N
-        return tuple(f"u{i}" for i in range(n)), np.zeros(n, np.int8), \
-            np.zeros((n, self.K), bool), np.zeros((n, self.K))
+        return (tuple(f"u{i}" for i in range(n)), np.zeros(n, np.int8), self.K,
+                np.arange(0, (n + 1) * self.K, self.K),
+                np.tile(np.arange(1, self.K + 1, dtype=np.int8), n), np.ones(self.ROWS))
 
-    @pytest.mark.parametrize("row", [0, STEP - 1, STEP, 2 * STEP, N - 1],
+    @pytest.mark.parametrize("row", [0, BLOCK_CELLS - 1, BLOCK_CELLS, 2 * BLOCK_CELLS, ROWS - 1],
                              ids=["first", "block-end", "block-start", "third-block", "last"])
-    def test_stray_value_found_in_any_block(self, row):
-        ids, variants, present, values = self._columns()
-        present[:, 3] = True
-        values[:, 3] = 2.0
-        TraceTable.from_dense(ids, variants, present, values)
-        values[row, 9] = -0.5
-        with pytest.raises(ConfigurationError, match="0.0 on days without activity"):
-            TraceTable.from_dense(ids, variants, present, values)
+    def test_bad_day_found_in_any_block(self, row):
+        ids, variants, k, starts, days, values = self._columns()
+        TraceTable(ids, variants, k, starts, days, values)
+        for day in (0, k + 1):
+            bad = days.copy()
+            bad[row] = day
+            # Either check may see it first: the block before also compares its next row.
+            with pytest.raises(ConfigurationError, match="days must"):
+                TraceTable(ids, variants, k, starts, bad, values)
+        # The row repeats its user's day before it, or after it on a user's first row.
+        bad = days.copy()
+        bad[row] = days[row + 1] if row % k == 0 else days[row - 1]
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            TraceTable(ids, variants, k, starts, bad, values)
 
     @pytest.mark.parametrize("row", [0, STEP - 1, STEP, N - 1])
     def test_bad_variant_found_in_any_block(self, row):
-        ids, variants, present, values = self._columns()
+        ids, variants, *rows = self._columns()
         variants = variants.astype(np.int64)
         variants[row] = 2
         with pytest.raises(ConfigurationError, match="variant codes"):
-            TraceTable.from_dense(ids, variants, present, values)
+            TraceTable(ids, variants, *rows)
 
     def test_check_makes_no_users_x_days_temporary(self):
         """1e5 users active on all 14 days: the traced peak of the checks is at

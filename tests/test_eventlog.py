@@ -17,7 +17,6 @@ from openbounded import (
     ExperimentCalendar,
     Model1Params,
     Seed,
-    TraceTable,
     delta_estimate,
     read_event_log,
     simulate_model1,
@@ -28,9 +27,8 @@ from openbounded import (
 from openbounded.metrics import metric_table
 from openbounded import eventlog, parallel
 from openbounded.cli import main
-from openbounded.core import MAX_TRACE_CELLS
 from openbounded.eventlog import WRITE_CHUNK_ROWS, sidecar_path, write_metadata
-from conftest import VARIANT_CODES, make_table, traced_peak, user_rows
+from conftest import VARIANT_CODES, dense, from_dense, make_table, traced_peak, user_rows
 from eventlog_reference import read_reference
 
 
@@ -48,7 +46,7 @@ class TestRoundTrip:
         active = [row for row in user_rows(traces) if row[2]]
         assert user_rows(loaded) == sorted(active)
         assert report.n_rejected == 0
-        assert report.accepted_rows == traces.dense()[0].sum()
+        assert report.accepted_rows == dense(traces)[0].sum()
 
     def test_sparse_long_window_reads_in_memory_of_its_rows(self, tmp_path):
         """2,000 users with 3 active days each in a 280-day window: the read and
@@ -159,10 +157,6 @@ class TestAggregation:
         assert traces.user_ids == ("u2",)
         assert report.rejected == {"missing-variant": 1}
 
-    def test_cell_index_cannot_wrap(self):
-        # The build orders rows by an int32 cell of the users x days window.
-        assert MAX_TRACE_CELLS <= np.iinfo(np.int32).max
-
 
 # Users per block of the writer at k = 14 when every user is active every day:
 # a block ends with the first user whose rows reach WRITE_CHUNK_ROWS.
@@ -197,7 +191,7 @@ class TestWriter:
     def test_lines_match_json_dumps(self, tmp_path, present):
         n_users, k = present.shape
         values = np.resize(np.array(self.VALUES), n_users * k).reshape(n_users, k)
-        traces = TraceTable.from_dense(
+        traces = from_dense(
             user_ids=[f"{self.PREFIXES[i % 5]}{i}" for i in range(n_users)],
             variants=np.resize(np.array([1, 0, -1], dtype=np.int8), n_users),
             present=present,
@@ -206,7 +200,7 @@ class TestWriter:
         path = tmp_path / "log.jsonl"
         assert write_event_log(path, traces) == int(present.sum())
         variant_of = {code: variant for variant, code in VARIANT_CODES.items()}
-        table_present, table_values = traces.dense()
+        table_present, table_values = dense(traces)
         expected = [
             json.dumps(
                 {"user_id": traces.user_ids[user], "day": int(column) + 1,
@@ -222,7 +216,7 @@ class TestWriter:
         values = (*self.VALUES, 1e16, 1e-05, 0.5e-4, 123456789.125, -1e300)
         printable = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
         ids = ["u1", printable, " ", "~"]
-        traces = TraceTable.from_dense(
+        traces = from_dense(
             user_ids=ids,
             variants=np.array([1, 0, -1, 1], dtype=np.int8),
             present=np.ones((len(ids), len(values)), dtype=bool),
@@ -247,7 +241,7 @@ class TestWriter:
         monkeypatch.setattr(eventlog, "_decode_lines", per_line_decode)
         traces, report = read_event_log(path, monday14, require_variant=True)
         assert report.total_rows > eventlog.READ_CHUNK_LINES
-        assert report.accepted_rows == report.total_rows == int(traces.dense()[0].sum())
+        assert report.accepted_rows == report.total_rows == int(dense(traces)[0].sum())
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_value_refused(self, tmp_path, value):
@@ -260,7 +254,7 @@ class TestWriter:
         # though the later block's cell is on an earlier day.
         values = np.ones((2 * BLOCK, 14))
         values[BLOCK - 1, 8] = values[BLOCK, 1] = value
-        traces = TraceTable.from_dense(
+        traces = from_dense(
             user_ids=[f"u{i:05d}" for i in range(2 * BLOCK)],
             variants=np.zeros(2 * BLOCK, dtype=np.int8),
             present=np.ones(values.shape, dtype=bool),
@@ -582,6 +576,16 @@ class TestJsonlParsing:
         with pytest.raises(DataFormatError):
             read_event_log(tmp_path / "nope.jsonl", monday14)
 
+    def test_byte_order_mark_skipped(self, tmp_path, monkeypatch, monday14):
+        """A log that starts with a UTF-8 byte-order mark reads as the same log
+        without one, and its first chunk stays on the canonical path."""
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        write_event_log(plain, simulate_model1(Model1Params(p=0.5, tau=1.0, sigma=1.0), 20,
+                                               Seed(3)))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        monkeypatch.setattr(eventlog, "_decode_lines", None)
+        assert read_event_log(marked, monday14) == read_event_log(plain, monday14)
+
 
 class TestStringNumbers:
     """A day or value given as a string is read only in strict ASCII spelling."""
@@ -658,6 +662,15 @@ class TestCsvParsing:
         path.write_text("user_id,value\nu1,2.0\n")
         with pytest.raises(DataFormatError, match="day"):
             read_event_log(path, monday14)
+
+    def test_byte_order_mark_skipped(self, tmp_path, monday14):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("user_id,day,variant,value\nu1,5,T,1.25\nu2,3,C,2.0\nu1,6,T,0.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        traces, report = read_event_log(marked, monday14)
+        assert (traces, report) == read_event_log(plain, monday14)
+        assert report.accepted_rows == 3
 
     def test_csv_equivalent_to_jsonl(self, tmp_path, monday14):
         jsonl = tmp_path / "log.jsonl"

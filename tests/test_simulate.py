@@ -13,7 +13,6 @@ from openbounded import (
     Model1Params,
     Model2Params,
     Seed,
-    TraceTable,
     bounded,
     delta_estimate,
     inject_effect,
@@ -26,7 +25,7 @@ from openbounded import (
 from openbounded import ExperimentCalendar, Weekday, simulate
 from openbounded.core import row_blocks
 from openbounded.metrics import metric_table
-from conftest import make_table, traced_peak
+from conftest import dense, from_dense, make_table, traced_peak
 import simulate_reference
 
 
@@ -57,7 +56,7 @@ class TestSimulateModel1:
     def test_certain_activity_deterministic_metric(self, monday14):
         params = Model1Params(p=1.0, tau=2.5, tau_prime=0.0, sigma=0.0, c=10.0)
         traces = simulate_model1(params, 20, Seed(0))
-        present, values = traces.dense()
+        present, values = dense(traces)
         assert present.all()
         expected = np.where(traces.variants == 1, 12.5, 10.0)
         assert (values == expected[:, None]).all()
@@ -72,7 +71,7 @@ class TestSimulateModel1:
         p, n = 0.15, 4000
         traces = simulate_model1(Model1Params(p=p), n, Seed(123))
         q = 1 - (1 - p) ** 14
-        admitted = traces.dense()[0][:n].any(axis=1).sum()
+        admitted = dense(traces)[0][:n].any(axis=1).sum()
         assert abs(admitted - n * q) <= 3 * math.sqrt(n * q * (1 - q))
 
     def test_first_day_cohorts_geometric(self, monday14):
@@ -93,7 +92,7 @@ class TestSimulateModel1:
         n_runs = 40
         for seed in range(n_runs):
             traces = simulate_model1(params, 150, Seed(seed))
-            active_days = traces.dense()[0].sum(axis=1)
+            active_days = dense(traces)[0].sum(axis=1)
             t_days = active_days[traces.variants == 1]
             c_days = active_days[traces.variants == 0]
             _, pvalue = stats.ttest_ind(t_days, c_days, equal_var=False)
@@ -105,14 +104,14 @@ class TestSimulateModel1:
         params = Model1Params(p=1.0, sigma=0.0, c=100.0)
         flat = simulate_model1(params, 200, Seed(4))
         spread = simulate_model1(params, 200, Seed(4), sigma_user=5.0)
-        spread_means = spread.dense()[1][:, 0]
-        assert (flat.dense()[1] == 100.0).all()
+        spread_means = dense(spread)[1][:, 0]
+        assert (dense(flat)[1] == 100.0).all()
         assert np.std(spread_means) == pytest.approx(5.0, rel=0.25)
 
     def test_lognormal_noise_mode(self):
         params = Model1Params(p=0.6, sigma=1.0, c=0.0)
         traces = simulate_model1(params, 300, Seed(5), noise_kind="lognormal")
-        present, values = traces.dense()
+        present, values = dense(traces)
         values = values[present]
         assert abs(np.mean(values)) < 0.2
         assert stats.skew(values) > 1.0
@@ -132,7 +131,7 @@ class TestSimulateModel2:
         first_day = metric_table(traces, OPEN, monday14).first_day
         assert (first_day >= 1).all()
         days = np.arange(1, 15)
-        assert (traces.dense()[0] == (days >= first_day[:, None])).all()
+        assert (dense(traces)[0] == (days >= first_day[:, None])).all()
 
     def test_arrivals_per_day(self, monday14):
         traces = simulate_model2(Model2Params(ns=3), Seed(0))
@@ -267,15 +266,15 @@ class TestInjectEffect:
         raw = self._raw_traces()
         injected = inject_effect(raw, EffectSpec(EffectKind.ABSOLUTE, 0.0), monday14, Seed(1))
         assert (injected.variants >= 0).all()
-        assert np.array_equal(injected.dense()[1], raw.dense()[1])
-        assert np.array_equal(injected.dense()[0], raw.dense()[0])
+        assert np.array_equal(dense(injected)[1], dense(raw)[1])
+        assert np.array_equal(dense(injected)[0], dense(raw)[0])
 
     def test_relative_lift_on_constant_outcomes(self, monday14):
         raw = self._raw_traces(c=100.0)
         spec = EffectSpec(EffectKind.RELATIVE_LIFT, 0.01)
         injected = inject_effect(raw, spec, monday14, Seed(1))
         expected = np.where(injected.variants == 1, 101.0, 100.0)[:, None]
-        present, values = injected.dense()
+        present, values = dense(injected)
         assert (values == np.where(present, expected, 0.0)).all()
 
     def test_control_outcomes_untouched(self, monday14):
@@ -283,15 +282,15 @@ class TestInjectEffect:
         injected = inject_effect(raw, EffectSpec(EffectKind.ABSOLUTE, 5.0), monday14, Seed(2))
         control = injected.variants == 0
         assert control.any()
-        assert np.array_equal(injected.dense()[1][control], raw.dense()[1][control])
+        assert np.array_equal(dense(injected)[1][control], dense(raw)[1][control])
 
     def test_weekend_only_shift_matches_gamma(self, monday14):
         raw = self._raw_traces(n=3000, p=0.3, c=0.0, sigma=0.0)
         x = 2.0
         spec = EffectSpec(EffectKind.ABSOLUTE, 0.0, tau_prime=x)
         injected = inject_effect(raw, spec, monday14, Seed(3))
-        shifted = (injected.variants == 1)[:, None] & monday14.weekend_mask() & raw.dense()[0]
-        assert np.array_equal(injected.dense()[1], np.where(shifted, x, 0.0))
+        shifted = (injected.variants == 1)[:, None] & monday14.weekend_mask() & dense(raw)[0]
+        assert np.array_equal(dense(injected)[1], np.where(shifted, x, 0.0))
         gamma = weekend_ratio_gamma(injected, OPEN, monday14)
         res = delta_estimate(injected, OPEN, monday14)
         assert res.delta == pytest.approx(gamma * x, abs=0.05 * x)
@@ -301,8 +300,8 @@ class TestInjectEffect:
         injected = inject_effect(raw, EffectSpec(EffectKind.ABSOLUTE, 1.0), monday14, Seed(5))
         n_treat = (injected.variants == 1).sum()
         assert abs(n_treat - 2000) <= 3 * math.sqrt(4000 * 0.25)
-        present, values = raw.dense()
-        shuffled = TraceTable.from_dense(
+        present, values = dense(raw)
+        shuffled = from_dense(
             raw.user_ids[::-1], raw.variants[::-1], present[::-1], values[::-1]
         )
         reinjected = inject_effect(shuffled, EffectSpec(EffectKind.ABSOLUTE, 1.0), monday14, Seed(5))
